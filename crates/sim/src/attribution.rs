@@ -18,9 +18,11 @@
 //! ## Charging rule
 //!
 //! Each cycle the issue loop scans candidates in selection order. Every
-//! candidate it rejects records the *first* check that failed. After the
-//! scan, the `width − issued` unused slots are charged one-per-rejected-
-//! candidate in scan order; slots beyond the rejection count (the window
+//! candidate it rejects records the *first* check that failed. (Once
+//! `rejects + issued ≥ width`, later rejects can never be charged, so the
+//! scan skips asleep and not-yet-ready candidates from there on.) After
+//! the scan, the `width − issued` unused slots are charged
+//! one-per-rejected-candidate in scan order; slots beyond the rejection count (the window
 //! simply held too few candidates) fall to a background cause derived from
 //! the front end: [`MispredictRecovery`] while fetch is stalled on an
 //! unresolved branch, [`DispatchStall`] while fetched work exists but has

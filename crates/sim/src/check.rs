@@ -21,7 +21,12 @@
 //! * **selection completeness / oldest-ready-first** — when issue width
 //!   was left on the table, no remaining candidate may still satisfy
 //!   every issue condition (resources only get scarcer over a pass, so a
-//!   feasible leftover was feasible when scanned and should have issued);
+//!   feasible leftover was feasible when scanned and should have issued).
+//!   The candidates come from the scheduler's full enumeration before the
+//!   pass, so an entry the pruned scan wrongly skipped is caught too;
+//! * **wakeup state** — for every organization that keeps it, each
+//!   resident entry's pending-operand count, readiness bound and awake
+//!   bit match a recomputation from the ROB and register state;
 //! * **FIFO head-only issue** — in the dependence-based organizations an
 //!   issuing instruction is the head of its FIFO at selection time;
 //! * **store-to-load forwarding consistency** — the StoreTracker's

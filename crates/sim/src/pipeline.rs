@@ -23,7 +23,7 @@
 use crate::attribution::StallCause;
 use crate::bpred::Gshare;
 use crate::check::{Checker, Violation};
-use crate::config::{ConfigError, SimConfig};
+use crate::config::{ConfigError, SelectionPolicy, SimConfig};
 use crate::dcache::{Access, Dcache};
 use crate::fault::FaultKind;
 use crate::probe::{DispatchStallCause, ProbeEvent, ProbeSink, ScheduleRecorder};
@@ -359,23 +359,12 @@ pub struct Simulator {
     /// instructions whose operand `p` is still unproduced. Drained by
     /// [`broadcast_ready`](Self::broadcast_ready) when the producer
     /// issues — the software analogue of the paper's tag broadcast, which
-    /// is what lets the select loop scan only *awake* entries.
+    /// is what lets the select loop skip *asleep* entries. Every
+    /// organization keeps this bookkeeping except the head-only FIFOs,
+    /// whose few heads are cheaper to probe than to track.
     waiters: Vec<Vec<(u64, u64)>>,
     /// Monotone dispatch counter backing `wake_token`.
     dispatch_count: u64,
-    /// Whether the issue scan may prune asleep / not-yet-ready candidates.
-    /// Off when the checker, the stall accountant, or fault injection is
-    /// active: those observe (or deliberately violate) the per-candidate
-    /// rejection sequence the pruned scan skips. Pruning never changes
-    /// which instructions issue — only how many certainly-rejected
-    /// candidates the scan touches — so timing is bit-identical either
-    /// way; the differential and golden tests pin that.
-    fast_wakeup: bool,
-    /// Whether the tag-broadcast bookkeeping is maintained at all. Only
-    /// central-window schedulers consume it (the awake-bitset scan), so
-    /// FIFO and per-cluster-window machines skip the dispatch/issue-side
-    /// bookkeeping entirely rather than pay for state they never read.
-    track_wakeup: bool,
     /// Per-phase wall-clock accumulator (`None` unless profiling was
     /// requested — the disabled-case cost is an `is_some` check per
     /// phase boundary, like the probe emptiness check).
@@ -395,15 +384,18 @@ pub struct Simulator {
 
 /// Wall-clock cost of each pipeline phase over a profiled run — what
 /// `cesim --profile` prints. Phases follow the paper's Figure 1 stage
-/// names; "wakeup" is candidate generation (the window/FIFO scan) and
-/// "select" the per-candidate readiness/resource arbitration loop.
+/// names; "wakeup" is candidate generation ahead of selection and
+/// "select" the per-candidate readiness/resource arbitration loop. The
+/// windows' oldest-first ring scan yields candidates inside that loop, so
+/// its time counts as select.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// In-order retirement of finished ROB heads.
     pub commit: Duration,
     /// Result completion (event-heap drain) and wrong-path squash.
     pub execute: Duration,
-    /// Candidate generation: the wakeup scan over the issue structure.
+    /// Candidate lists built before selection: FIFO heads, and the
+    /// position and youngest-first orders.
     pub wakeup: Duration,
     /// Selection and issue of the generated candidates.
     pub select: Duration,
@@ -476,11 +468,6 @@ impl Simulator {
             wake_token: vec![0; cfg.max_inflight.max(1).next_power_of_two()],
             waiters: vec![Vec::new(); cfg.physical_regs],
             dispatch_count: 0,
-            fast_wakeup: !cfg.check && !cfg.attribution && cfg.fault.is_none(),
-            track_wakeup: matches!(
-                cfg.scheduler,
-                crate::config::SchedulerKind::CentralWindow { .. }
-            ),
             profile: None,
             measure_start: u64::MAX,
             measure_end: u64::MAX,
@@ -873,7 +860,7 @@ impl Simulator {
             self.dispatch_cycle(cycle, insts, &mut frontq, &mut rob, &mut stores);
             if self.cfg.check {
                 self.check_after_dispatch(cycle, &rob);
-                if self.track_wakeup {
+                if !self.sched.head_only() {
                     self.check_wakeup_state(cycle, &rob);
                 }
                 self.check_store_tracker(cycle, &rob, &stores);
@@ -1127,6 +1114,22 @@ impl Simulator {
         StallCause::OperandWait
     }
 
+    /// One wakeup/select pass. Under oldest-first selection the central
+    /// and steered windows draw candidates one at a time from the
+    /// scheduler's ring scan; the head-only FIFOs and the other selection
+    /// policies build their candidate list up front. Either way candidates
+    /// are probed in order until the issue width is spent.
+    ///
+    /// The prune rule: a candidate that is asleep (an operand not yet
+    /// produced) or not yet ready (its best-case operand arrival still in
+    /// the future) is rejected by every check below, so it may be skipped
+    /// unprobed once its rejection can no longer be charged. Attribution
+    /// charges only the first `width − issued` rejects in scan order, and
+    /// `issued` only grows, so once `rejects + issued ≥ width` no later
+    /// reject is charged. Without attribution that holds from the start.
+    /// Skipping never changes which instructions issue or which causes
+    /// are charged. It is off whenever a fault is armed: `EarlySelect` and
+    /// `HotEntryCorrupt` act on candidates the rule would skip.
     #[allow(clippy::too_many_arguments)]
     fn issue_cycle(
         &mut self,
@@ -1139,40 +1142,22 @@ impl Simulator {
         rejects: &mut Vec<StallCause>,
         front: FrontState,
     ) {
+        // The selection audit enumerates every candidate itself, before
+        // the pass, rather than trusting the scan it audits.
+        let audit = self.cfg.check.then(|| self.sched.candidates());
         let wake_mark = if self.profile.is_some() { Some(Instant::now()) } else { None };
-        // The pruned scans enumerate only *awake* entries (operands all
-        // produced) — the bit the tag-broadcast bookkeeping maintains.
-        // Asleep entries would be rejected by the operand checks below, so
-        // the pruned candidate list issues identically; it just skips the
-        // certainly-fruitless probes that dominated central-window runs.
-        let fast = self.fast_wakeup && self.track_wakeup;
-        match self.cfg.selection {
-            crate::config::SelectionPolicy::OldestFirst => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into_aged(candidates);
-                } else {
-                    // Age order comes from the scheduler's own structures
-                    // (central age list / FIFO merge) — no per-cycle sort.
-                    self.sched.candidates_into_sorted(candidates);
+        let wakeup = !self.sched.head_only();
+        let ring_scan = wakeup && self.cfg.selection == SelectionPolicy::OldestFirst;
+        if !ring_scan {
+            self.sched.candidates_into(candidates);
+            match self.cfg.selection {
+                SelectionPolicy::OldestFirst => candidates.sort_unstable_by_key(|c| c.id),
+                // Keep the scheduler's slot order: physical position, not
+                // age (the HP PA-8000-style policy the paper assumes).
+                SelectionPolicy::Position => {}
+                SelectionPolicy::YoungestFirst => {
+                    candidates.sort_unstable_by_key(|c| Reverse(c.id))
                 }
-            }
-            crate::config::SelectionPolicy::Position => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into(candidates);
-                } else {
-                    // Keep the scheduler's slot order: physical position,
-                    // not age (the HP PA-8000-style policy the paper
-                    // assumes).
-                    self.sched.candidates_into(candidates);
-                }
-            }
-            crate::config::SelectionPolicy::YoungestFirst => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into(candidates);
-                } else {
-                    self.sched.candidates_into(candidates);
-                }
-                candidates.sort_unstable_by_key(|c| std::cmp::Reverse(c.id));
             }
         }
         let select_mark = wake_mark.map(|m| {
@@ -1183,21 +1168,10 @@ impl Simulator {
             now
         });
         let attr = self.cfg.attribution;
+        let width = self.cfg.issue_width;
         rejects.clear();
-        if candidates.is_empty() {
-            self.stats.issue_histogram[0] += 1;
-            if attr {
-                // Every slot this cycle is a background loss.
-                self.stats
-                    .stall_breakdown
-                    .charge(background_cause(front), self.cfg.issue_width as u64);
-            }
-            if let (Some(m), Some(p)) = (select_mark, &mut self.profile) {
-                p.select += Instant::now() - m;
-            }
-            return;
-        }
         let rob_base = rob.front().map(|e| e.seq).unwrap_or(0);
+        let rob_end = rob_base + rob.len() as u64;
         let fus_per_cluster = self.cfg.fus_per_cluster();
         fu_used.iter_mut().for_each(|u| *u = 0);
         let mut ports_used = 0usize;
@@ -1208,34 +1182,43 @@ impl Simulator {
         // [`FaultKind`] for why each is detected-or-masked.
         let mut inject_drop = false;
         let mut inject_early_select = false;
+        let mut inject_hot_corrupt = false;
         if let Some(f) = self.cfg.fault {
             if cycle == f.at_cycle {
                 match f.kind {
                     FaultKind::DropIssueCycle => inject_drop = true,
                     FaultKind::EarlySelect => inject_early_select = true,
-                    FaultKind::HotEntryCorrupt => {
-                        // The wakeup array lies: the first candidate's
-                        // mirrored operands vanish, so it looks ready.
-                        if let Some(c) = candidates.first() {
-                            self.hot[(c.id.0 & self.hot_mask) as usize].srcs = [None, None];
-                        }
-                    }
+                    FaultKind::HotEntryCorrupt => inject_hot_corrupt = true,
                     FaultKind::StatsCorrupt | FaultKind::PanicCell => {}
                 }
             }
         }
+        let may_prune = wakeup && self.cfg.fault.is_none();
 
-        for &cand in candidates.iter() {
-            if inject_drop || issued >= self.cfg.issue_width {
-                break;
-            }
-            // Pruned scan (central windows prune in the scheduler via the
-            // awake bitset; pooled organizations prune here): a candidate
-            // with an unproduced operand, or whose best-case operand
-            // arrival is still in the future, fails the readiness checks
-            // below in every cluster — skip it without probing.
+        // List index, or sequence-number offset from the ROB head.
+        let mut cursor = 0usize;
+        while !inject_drop && issued < width {
+            let prune = may_prune && (!attr || rejects.len() + issued >= width);
+            let cand = if ring_scan {
+                let from = InstId(rob_base + cursor as u64);
+                let Some(c) = self.sched.next_candidate(from, InstId(rob_end), prune) else {
+                    break;
+                };
+                cursor = (c.id.0 - rob_base) as usize + 1;
+                c
+            } else {
+                let Some(&c) = candidates.get(cursor) else { break };
+                cursor += 1;
+                c
+            };
             let h = (cand.id.0 & self.hot_mask) as usize;
-            if fast && (self.wake_pending[h] != 0 || self.wake_min_ready[h] > cycle) {
+            if inject_hot_corrupt {
+                // The wakeup array lies: the first candidate's mirrored
+                // operands vanish, so it looks ready.
+                inject_hot_corrupt = false;
+                self.hot[h].srcs = [None, None];
+            }
+            if prune && (self.wake_pending[h] != 0 || self.wake_min_ready[h] > cycle) {
                 continue;
             }
             // Reject-path checks read only the 16-byte hot entry (and the
@@ -1417,7 +1400,7 @@ impl Simulator {
                     PregInfo { ready: cycle + latency, cluster: Some(cluster) };
                 // Tag broadcast: consumers waiting on `dest` learn its
                 // arrival time; the last outstanding operand wakes them.
-                if self.track_wakeup {
+                if wakeup {
                     self.broadcast_ready(dest);
                 }
             }
@@ -1466,10 +1449,8 @@ impl Simulator {
                 self.stats.stall_breakdown.charge(background_cause(front), leftover);
             }
         }
-        if self.cfg.check {
-            self.check_after_issue(
-                cycle, candidates, rob, rob_base, stores, fu_used, ports_used, issued,
-            );
+        if let Some(audit) = audit {
+            self.check_after_issue(cycle, &audit, rob, rob_base, stores, fu_used, ports_used, issued);
         }
         if let (Some(m), Some(p)) = (select_mark, &mut self.profile) {
             p.select += Instant::now() - m;
@@ -1568,12 +1549,14 @@ impl Simulator {
         self.waiters[p as usize] = ws; // hand the allocation back
     }
 
-    /// Checker audit of the tag-broadcast bookkeeping: for every resident
-    /// (unissued) entry, the pending count and readiness bound must equal
-    /// a recomputation from primary state. Exact equality holds because a
-    /// register's `ready`/`cluster` never change between the producer's
-    /// issue and the consumer's departure, so each contribution is the
-    /// same whenever it is computed.
+    /// Checker audit of the tag-broadcast bookkeeping the prune rule
+    /// trusts: for every resident (unissued) entry, the pending count and
+    /// readiness bound must equal a recomputation from primary state, and
+    /// the scheduler's awake bit must be set exactly when nothing is
+    /// pending. Exact equality holds because a register's `ready`/`cluster`
+    /// never change between the producer's issue and the consumer's
+    /// departure, so each contribution is the same whenever it is
+    /// computed.
     fn check_wakeup_state(&mut self, cycle: u64, rob: &VecDeque<Entry>) {
         for e in rob.iter().filter(|e| e.issued_at.is_none()) {
             let h = (e.seq & self.hot_mask) as usize;
@@ -1608,6 +1591,14 @@ impl Simulator {
                         "wakeup readiness bound desynced: tracked {}, recomputed {bound}",
                         self.wake_min_ready[h]
                     ),
+                );
+            }
+            let awake = self.sched.is_awake(InstId(e.seq));
+            if awake != (pending == 0) {
+                self.check.violation(
+                    cycle,
+                    Some(e.seq),
+                    format!("awake bit {awake} with {pending} operands pending"),
                 );
             }
         }
@@ -1753,7 +1744,9 @@ impl Simulator {
 
     /// Post-pass invariants: issue caps recounted from the ROB, and the
     /// selection audit — no issuable candidate may be left waiting while
-    /// issue width went unused.
+    /// issue width went unused. `candidates` is the scheduler's complete
+    /// candidate set from before the pass, not what the scan visited, so
+    /// the audit covers every entry the prune rule skipped.
     #[allow(clippy::too_many_arguments)]
     fn check_after_issue(
         &mut self,
@@ -2048,7 +2041,7 @@ impl Simulator {
             stores.on_dispatch(d);
             self.hot[(d.seq & self.hot_mask) as usize] =
                 HotEntry { srcs, kind: d.inst.opcode.kind(), mem_addr: d.mem_addr };
-            if self.track_wakeup {
+            if !self.sched.head_only() {
                 self.register_wakeup(d.seq, srcs, d.inst.opcode.kind());
             }
             rob.push_back(Entry {

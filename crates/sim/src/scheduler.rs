@@ -10,6 +10,12 @@
 //!   any waiting instruction (Section 5.6.2).
 //! * `Fifos` — the dependence-based design; only FIFO heads are issue
 //!   candidates (Section 5).
+//!
+//! Both window organizations also keep resident and awake bits keyed by
+//! sequence number, so one bit scan from the ROB head
+//! (`Scheduler::next_candidate`) yields their candidates oldest first,
+//! whichever slot or FIFO holds them. The head-only FIFOs skip that
+//! bookkeeping: their heads are the whole candidate set.
 
 use crate::config::{SchedulerKind, SteeringPolicy};
 use ce_core::fifos::{FifoPool, PoolConfig};
@@ -71,6 +77,19 @@ pub struct Scheduler {
     /// `max_inflight`) — no hash lookups on the issue path.
     place: Vec<Option<u32>>,
     place_mask: u64,
+    /// Bit `seq & place_mask` set iff that instruction is resident, keyed
+    /// like `place`, so a bit scan from the ROB head's position visits
+    /// resident instructions oldest first. Kept by every organization
+    /// except the head-only FIFOs, whose heads are their whole candidate
+    /// set.
+    resident: Vec<u64>,
+    /// Bit `seq & place_mask` set iff the resident instruction is awake:
+    /// all its source operands have been produced (the tag-match result
+    /// of the paper's wakeup broadcast, cached as a bit). Set by the
+    /// pipeline via [`set_awake`](Self::set_awake), only ever for a
+    /// resident, and cleared as the instruction leaves, so it is always a
+    /// subset of `resident`.
+    awake: Vec<u64>,
     /// Central-window slots: new instructions take the lowest free slot, so
     /// slot order models physical window position (no compaction).
     window: Vec<Option<InstId>>,
@@ -81,25 +100,7 @@ pub struct Scheduler {
     central_capacity: usize,
     /// Central-window population (pooled occupancy lives in the pool).
     central_len: usize,
-    /// Intrusive doubly-linked list over occupied central slots in *age*
-    /// order (oldest first). Dispatch order is monotone in sequence
-    /// number, so appending at the tail keeps the list id-sorted — oldest-
-    /// first selection walks it instead of sorting every cycle.
-    age_next: Vec<u32>,
-    age_prev: Vec<u32>,
-    age_head: u32,
-    age_tail: u32,
-    /// Bit `s` set iff `window[s]` holds an instruction whose source
-    /// operands have all been produced (the tag-match result of the
-    /// paper's wakeup broadcast, cached as a bit per slot). Maintained by
-    /// the pipeline via [`set_awake`](Self::set_awake); cleared when a slot
-    /// is recycled. Pad bits stay clear, so `occ & awake` is exactly the
-    /// set of occupied, woken slots. Central window only.
-    awake_words: Vec<u64>,
 }
-
-/// Sentinel for the age-list links.
-const AGE_NONE: u32 = u32::MAX;
 
 impl Scheduler {
     /// Builds the scheduler for a machine configuration. `max_inflight` is
@@ -166,21 +167,13 @@ impl Scheduler {
             load_balanced,
             place: vec![None; ring],
             place_mask: ring as u64 - 1,
+            resident: vec![0u64; ring.div_ceil(64)],
+            awake: vec![0u64; ring.div_ceil(64)],
             window: vec![None; central_capacity],
             occ_words,
             central_capacity,
             central_len: 0,
-            age_next: vec![AGE_NONE; central_capacity],
-            age_prev: vec![AGE_NONE; central_capacity],
-            age_head: AGE_NONE,
-            age_tail: AGE_NONE,
-            awake_words: vec![0u64; words],
         }
-    }
-
-    /// Whether this is the central-window organization (no FIFO pool).
-    pub fn is_central(&self) -> bool {
-        self.pool.is_none()
     }
 
     /// Whether only FIFO heads may issue.
@@ -204,7 +197,7 @@ impl Scheduler {
         id: InstId,
         inst: &Instruction,
     ) -> Result<Placement, InsertReject> {
-        match &mut self.pool {
+        let placed = match &mut self.pool {
             None => {
                 // Lowest free slot, found by bitmask probe (same placement a
                 // first-`None` linear scan produced).
@@ -216,21 +209,10 @@ impl Scheduler {
                 debug_assert!(slot < self.central_capacity);
                 debug_assert!(self.window[slot].is_none());
                 self.occ_words[word] |= 1u64 << (slot % 64);
-                self.awake_words[word] &= !(1u64 << (slot % 64));
                 self.window[slot] = Some(id);
                 self.place[(id.0 & self.place_mask) as usize] = Some(slot as u32);
                 self.central_len += 1;
-                // Append at the age-list tail: a dispatching instruction is
-                // always the youngest resident.
-                let s = slot as u32;
-                self.age_prev[slot] = self.age_tail;
-                self.age_next[slot] = AGE_NONE;
-                match self.age_tail {
-                    AGE_NONE => self.age_head = s,
-                    t => self.age_next[t as usize] = s,
-                }
-                self.age_tail = s;
-                Ok(Placement { cluster: None, slot: s, steer: None })
+                Ok(Placement { cluster: None, slot: slot as u32, steer: None })
             }
             Some(pool) => {
                 let (outcome, explain) = if let Some(r) = &mut self.random {
@@ -269,7 +251,19 @@ impl Scheduler {
                     }
                 }
             }
+        }?;
+        if !self.head_only() {
+            // Arrives asleep; the pipeline's wakeup bookkeeping wakes it.
+            let (w, bit) = self.ring_bit(id);
+            self.resident[w] |= bit;
         }
+        Ok(placed)
+    }
+
+    /// Word index and mask of `id`'s bit in the sequence-keyed bitsets.
+    fn ring_bit(&self, id: InstId) -> (usize, u64) {
+        let r = id.0 & self.place_mask;
+        ((r / 64) as usize, 1u64 << (r % 64))
     }
 
     /// Appends the instructions eligible for selection this cycle to `out`
@@ -310,104 +304,75 @@ impl Scheduler {
         }
     }
 
-    /// Appends the central window's candidates to `out` (cleared first) in
-    /// **age order** — identical to sorting [`candidates_into`]'s output by
-    /// id, without the per-cycle sort.
+    /// The oldest resident instruction with an id in `from..end` (with
+    /// `awake_only`, the oldest resident *awake* one), found by a bit scan
+    /// of the sequence-keyed bitsets from `from`'s ring position. The
+    /// issue stage calls it once per candidate, `from` just past the last
+    /// one, so a pass never builds a candidate list and sees bits set
+    /// mid-pass (a producer's issue waking a split store behind it).
     ///
-    /// [`candidates_into`]: Self::candidates_into
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if called on a FIFO organization; callers
-    /// gate on [`is_central`](Self::is_central).
-    pub fn candidates_into_aged(&self, out: &mut Vec<Candidate>) {
-        debug_assert!(self.is_central());
-        out.clear();
-        let mut s = self.age_head;
-        while s != AGE_NONE {
-            let id = self.window[s as usize].expect("linked slot is filled");
-            out.push(Candidate { id, cluster: None });
-            s = self.age_next[s as usize];
-        }
-    }
-
-    /// Appends this cycle's candidates to `out` (cleared first) in
-    /// ascending instruction order — the oldest-first selection order —
-    /// without a per-cycle sort wherever the organization permits:
-    /// central windows walk the intrusive age list, pooled windows k-way
-    /// merge their (individually ascending) per-FIFO queues, and the
-    /// head-only FIFO organizations sort their handful of heads.
-    pub fn candidates_into_sorted(&self, out: &mut Vec<Candidate>) {
-        match &self.pool {
-            None => self.candidates_into_aged(out),
-            Some(pool) => {
-                out.clear();
-                if self.head_only() {
-                    out.extend(
-                        pool.heads()
-                            .map(|(f, id)| Candidate { id, cluster: Some(pool.cluster_of(f)) }),
-                    );
-                    out.sort_unstable_by_key(|c| c.id);
-                } else {
-                    out.extend(pool.entries_aged().map(|(f, id)| Candidate {
-                        id,
-                        cluster: Some(pool.cluster_of(f)),
-                    }));
-                }
+    /// Every resident id must lie in `from..end` or below `from` within
+    /// one ring length of `end` — true for any range inside the ROB's
+    /// sequence span — so each ring position maps to one id. Head-only
+    /// FIFOs keep no resident bits and always get `None`.
+    pub(crate) fn next_candidate(
+        &self,
+        from: InstId,
+        end: InstId,
+        awake_only: bool,
+    ) -> Option<Candidate> {
+        let ring = self.place.len() as u64;
+        let mut seq = from.0;
+        while seq < end.0 {
+            let r = seq & self.place_mask;
+            let w = (r / 64) as usize;
+            let words = if awake_only { &self.awake } else { &self.resident };
+            // A ring shorter than a word never sets the bits past its end.
+            let bits = words[w] >> (r % 64);
+            if bits != 0 {
+                let id = InstId(seq + u64::from(bits.trailing_zeros()));
+                return (id < end).then(|| self.candidate(id));
             }
+            // On to the next word, or wrap to ring position 0.
+            seq += (64 - r % 64).min(ring - r);
         }
+        None
     }
 
-    /// Marks a resident central-window instruction as awake: every source
-    /// operand has been produced, so it is a real wakeup/select candidate.
-    /// The pipeline calls this from its tag-broadcast bookkeeping (at
-    /// dispatch when no operand is outstanding, and when the last
-    /// outstanding producer issues). No-op for pooled organizations and
-    /// for ids that are not (or are no longer) resident — a broadcast can
-    /// race an early-selected or squashed consumer under fault injection.
+    /// A resident instruction as an issue candidate, with its bound
+    /// cluster for pooled organizations.
+    fn candidate(&self, id: InstId) -> Candidate {
+        let cluster = self.pool.as_ref().map(|pool| {
+            let fifo = self.place[(id.0 & self.place_mask) as usize].expect("resident ⇒ placed");
+            pool.cluster_of(FifoId(fifo as usize))
+        });
+        Candidate { id, cluster }
+    }
+
+    /// Marks a resident instruction as awake: every source operand has been
+    /// produced. The pipeline calls this from its tag-broadcast bookkeeping
+    /// (at dispatch when no operand is outstanding, and when the last
+    /// outstanding producer issues). No-op for ids that are not (or are no
+    /// longer) resident — a broadcast can race an early-selected or
+    /// squashed consumer under fault injection — and so for head-only
+    /// FIFOs, which keep no resident bits.
     pub fn set_awake(&mut self, id: InstId) {
-        if self.pool.is_some() {
-            return;
-        }
-        if let Some(slot) = self.place[(id.0 & self.place_mask) as usize] {
-            self.awake_words[slot as usize / 64] |= 1u64 << (slot % 64);
-        }
+        let (w, bit) = self.ring_bit(id);
+        self.awake[w] |= self.resident[w] & bit;
     }
 
-    /// Appends the occupied **and awake** central-window slots to `out`
-    /// (cleared first) in slot order — one `occ & awake` word scan with
-    /// `trailing_zeros`, touching only set bits. Subset of
-    /// [`candidates_into`](Self::candidates_into) restricted to awake
-    /// entries; asleep entries could never pass the pipeline's operand
-    /// checks, so pruning them here is selection-invisible.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if called on a FIFO organization.
-    pub fn awake_candidates_into(&self, out: &mut Vec<Candidate>) {
-        debug_assert!(self.is_central());
-        out.clear();
-        for (w, (&occ, &awake)) in self.occ_words.iter().zip(&self.awake_words).enumerate() {
-            let mut bits = occ & awake;
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let id = self.window[slot].expect("awake∧occupied bit ⇒ filled slot");
-                out.push(Candidate { id, cluster: None });
-            }
-        }
+    /// Whether `id` is resident and awake — read-only access for the
+    /// invariant checker's audit of the wakeup bookkeeping.
+    pub(crate) fn is_awake(&self, id: InstId) -> bool {
+        let (w, bit) = self.ring_bit(id);
+        self.awake[w] & bit != 0
     }
 
-    /// [`awake_candidates_into`](Self::awake_candidates_into) in **age
-    /// order**: the bitset scan plus a sort of the (few) awake entries.
-    /// Resident ids are ROB-contiguous and dispatch appends in sequence
-    /// order, so ascending id *is* age order — this matches
-    /// [`candidates_into_aged`](Self::candidates_into_aged) filtered to
-    /// awake entries (the property pinned by the randomized scan-order
-    /// test).
-    pub fn awake_candidates_into_aged(&self, out: &mut Vec<Candidate>) {
-        self.awake_candidates_into(out);
-        out.sort_unstable_by_key(|c| c.id);
+    /// Clears `id`'s resident and awake bits as it leaves.
+    fn clear_ring_bits(&mut self, id: InstId) {
+        let (w, bit) = self.ring_bit(id);
+        self.resident[w] &= !bit;
+        self.awake[w] &= !bit;
     }
 
     /// The instructions eligible for selection this cycle (allocating
@@ -436,17 +401,7 @@ impl Scheduler {
                     "issued instruction must be in the window"
                 );
                 self.occ_words[slot / 64] &= !(1u64 << (slot % 64));
-                self.awake_words[slot / 64] &= !(1u64 << (slot % 64));
                 self.central_len -= 1;
-                let (p, n) = (self.age_prev[slot], self.age_next[slot]);
-                match p {
-                    AGE_NONE => self.age_head = n,
-                    p => self.age_next[p as usize] = n,
-                }
-                match n {
-                    AGE_NONE => self.age_tail = p,
-                    n => self.age_prev[n as usize] = p,
-                }
             }
             Some(pool) => {
                 let fifo = FifoId(placed.expect("issued instruction placed") as usize);
@@ -462,6 +417,9 @@ impl Scheduler {
                 // cluster (FIFO→cluster is static), and the steerer already
                 // validates staleness against the pool contents.
             }
+        }
+        if !head_only {
+            self.clear_ring_bits(id);
         }
     }
 
@@ -486,6 +444,7 @@ impl Scheduler {
         let fifo = FifoId(placed.expect("squashed instruction must be placed") as usize);
         let pool = self.pool.as_mut().expect("checked");
         assert!(pool.remove(fifo, id), "squashed instruction must be in its FIFO");
+        self.clear_ring_bits(id);
     }
 
     /// The FIFO pool backing a pooled organization (`None` for the
@@ -745,111 +704,150 @@ mod tests {
         }
     }
 
-    /// Property: on randomized windows (random insert/remove/wake
-    /// histories, with fragmentation so slot order ≠ age order), the
-    /// bitset-scanned awake candidates match the age-list walk filtered to
-    /// awake entries, and the slot-order variant matches `candidates_into`
-    /// filtered the same way.
+    /// The test's model of a ROB span `head..tail` and of which of its
+    /// sequence numbers are resident, awake, or issued.
+    #[derive(Default)]
+    struct Model {
+        head: u64,
+        tail: u64,
+        resident: std::collections::BTreeSet<u64>,
+        awake: std::collections::BTreeSet<u64>,
+        issued: std::collections::BTreeSet<u64>,
+    }
+
+    impl Model {
+        fn issue(&mut self, s: &mut Scheduler, id: InstId) {
+            s.remove(id);
+            self.resident.remove(&id.0);
+            self.awake.remove(&id.0);
+            self.issued.insert(id.0);
+        }
+
+        fn wake(&mut self, s: &mut Scheduler, id: u64) {
+            s.set_awake(InstId(id));
+            if !s.head_only() {
+                self.awake.insert(id);
+            }
+        }
+
+        fn asleep(&self) -> Option<u64> {
+            self.resident.iter().copied().find(|id| !self.awake.contains(id))
+        }
+
+        /// `candidates_into` filtered to resident ∧ awake (or to resident
+        /// alone) and sorted by id: what the ring scan must yield.
+        fn expect(&self, s: &Scheduler, awake_only: bool) -> Vec<Candidate> {
+            let mut want = s.candidates();
+            want.retain(|c| !s.head_only() && (!awake_only || self.awake.contains(&c.id.0)));
+            want.sort_unstable_by_key(|c| c.id);
+            want
+        }
+
+        fn scan(&self, s: &Scheduler, awake_only: bool) -> Vec<Candidate> {
+            let next = |from: u64| s.next_candidate(InstId(from), InstId(self.tail), awake_only);
+            std::iter::successors(next(self.head), |c| next(c.id.0 + 1)).collect()
+        }
+    }
+
+    /// Property: on randomized histories for all three scheduler kinds —
+    /// rings under a word (`max_inflight` 16 or 32) and over it, sequence
+    /// numbers wrapping the ring many times, squashes whose sequence
+    /// numbers are then reused, and wakes and issues during a pass — the
+    /// ring scan equals `candidates_into` filtered to resident ∧ awake (or
+    /// to resident alone) and sorted by id. Head-only FIFOs keep no wakeup
+    /// state, so their scan stays empty.
     #[test]
-    fn awake_bitset_scan_matches_age_list_on_random_windows() {
+    fn ring_scan_matches_filtered_candidates_on_random_histories() {
         let mut rng: u64 = 0x5eed_cafe_f00d_0001;
-        let mut next = move || {
+        let mut next = move |n: u64| {
             // xorshift64* — deterministic, no external crates.
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
+            rng.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
         };
-        for trial in 0..200 {
-            let size = 1 + (next() % 100) as usize; // spans multiple words
-            // Ring sized past the whole trial: the random removal order
-            // lets resident ids spread wider than a real pipeline's
-            // in-flight limit would allow.
-            let mut s = Scheduler::new(
-                SchedulerKind::CentralWindow { size },
-                1,
-                SteeringPolicy::Dependence,
-                512,
-            );
-            let mut seq = trial * 10_000; // distinct ids per trial
-            let mut resident: Vec<InstId> = Vec::new();
-            let mut awake: Vec<InstId> = Vec::new();
-            for _ in 0..300 {
-                match next() % 4 {
-                    // Dispatch (ids ascend, like real sequence numbers).
-                    0 | 1 => {
-                        let id = InstId(seq);
-                        if s.try_insert(id, &alu(10, 1, 2)).is_ok() {
-                            seq += 1;
-                            resident.push(id);
-                            if next() % 2 == 0 {
-                                s.set_awake(id);
-                                awake.push(id);
+        for trial in 0..150 {
+            let (a, b) = (1 + next(8) as usize, 1 + next(8) as usize);
+            let kind = match trial % 3 {
+                0 => SchedulerKind::CentralWindow { size: 1 + next(100) as usize },
+                1 => SchedulerKind::SteeredWindows { fifos_per_cluster: a, fifo_depth: b },
+                _ => SchedulerKind::Fifos { fifos_per_cluster: a, depth: b },
+            };
+            let max_inflight = [16, 32, 100, 200][next(4) as usize];
+            let mut s =
+                Scheduler::new(kind, 1 + next(2) as usize, SteeringPolicy::Dependence, max_inflight);
+            let mut m = Model::default();
+            for step in 0..400 {
+                match next(8) {
+                    // Dispatch the next sequence number, awake half the time.
+                    0..=2 if m.tail - m.head < max_inflight as u64 => {
+                        let inst = alu(8 + next(8) as u8, 8 + next(8) as u8, 1);
+                        s.set_awake(InstId(m.tail)); // not yet resident: a no-op
+                        if s.try_insert(InstId(m.tail), &inst).is_ok() {
+                            m.resident.insert(m.tail);
+                            if next(2) == 0 {
+                                m.wake(&mut s, m.tail);
+                            }
+                            m.tail += 1;
+                        }
+                    }
+                    // Issue any candidate (a FIFO head on head-only FIFOs).
+                    3 => {
+                        let cands = s.candidates();
+                        if !cands.is_empty() {
+                            m.issue(&mut s, cands[next(cands.len() as u64) as usize].id);
+                        }
+                    }
+                    // Commit issued instructions from the ROB head.
+                    4 => {
+                        while m.issued.remove(&m.head) {
+                            m.head += 1;
+                        }
+                    }
+                    // Squash a young slice; its sequence numbers are reused.
+                    5 => {
+                        let from = m.head + next(m.tail - m.head + 1);
+                        for id in from..m.tail {
+                            if m.resident.remove(&id) {
+                                s.remove_squashed(InstId(id));
+                            }
+                            m.awake.remove(&id);
+                            m.issued.remove(&id);
+                        }
+                        m.tail = from;
+                    }
+                    6 => {
+                        if let Some(id) = m.asleep() {
+                            m.wake(&mut s, id);
+                        }
+                    }
+                    // An issue pass: issues and wakes land mid-scan.
+                    _ => {
+                        let awake_only = next(2) == 0;
+                        let mut at = m.head;
+                        loop {
+                            let got = s.next_candidate(InstId(at), InstId(m.tail), awake_only);
+                            let want = m.expect(&s, awake_only).into_iter().find(|c| c.id.0 >= at);
+                            assert_eq!(got, want, "trial {trial} step {step}: mid-pass scan");
+                            let Some(c) = got else { break };
+                            at = c.id.0 + 1;
+                            match (next(3), m.asleep()) {
+                                (0, _) => m.issue(&mut s, c.id),
+                                (1, Some(id)) => m.wake(&mut s, id),
+                                _ => {}
                             }
                         }
                     }
-                    // Issue an arbitrary resident (fragments the window).
-                    2 => {
-                        if !resident.is_empty() {
-                            let victim = resident.remove((next() % resident.len() as u64) as usize);
-                            awake.retain(|&id| id != victim);
-                            s.remove(victim);
-                        }
-                    }
-                    // Wake a sleeping resident.
-                    _ => {
-                        if let Some(&id) =
-                            resident.iter().find(|id| !awake.contains(id))
-                        {
-                            s.set_awake(id);
-                            awake.push(id);
-                        }
-                    }
                 }
-                // Slot order: candidates_into filtered to the awake set.
-                let mut all = Vec::new();
-                s.candidates_into(&mut all);
-                let expect_slot: Vec<Candidate> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| awake.contains(&c.id))
-                    .collect();
-                let mut got = Vec::new();
-                s.awake_candidates_into(&mut got);
-                assert_eq!(got, expect_slot, "trial {trial}: slot-order scan");
-                // Age order: candidates_into_aged filtered to the awake set.
-                s.candidates_into_aged(&mut all);
-                let expect_aged: Vec<Candidate> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| awake.contains(&c.id))
-                    .collect();
-                s.awake_candidates_into_aged(&mut got);
-                assert_eq!(got, expect_aged, "trial {trial}: age-order scan");
+                for awake_only in [false, true] {
+                    let want = m.expect(&s, awake_only);
+                    assert_eq!(m.scan(&s, awake_only), want, "trial {trial} step {step}");
+                }
+                for &id in &m.resident {
+                    assert_eq!(s.is_awake(InstId(id)), m.awake.contains(&id));
+                }
             }
         }
-    }
-
-    #[test]
-    fn set_awake_tolerates_pooled_and_absent_ids() {
-        let mut pooled = Scheduler::new(
-            SchedulerKind::Fifos { fifos_per_cluster: 2, depth: 4 },
-            1,
-            SteeringPolicy::Dependence,
-            128,
-        );
-        pooled.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
-        pooled.set_awake(InstId(0)); // no-op, must not panic
-        let mut central = Scheduler::new(
-            SchedulerKind::CentralWindow { size: 4 },
-            1,
-            SteeringPolicy::Dependence,
-            128,
-        );
-        central.set_awake(InstId(7)); // absent id: no-op
-        let mut out = Vec::new();
-        central.awake_candidates_into(&mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

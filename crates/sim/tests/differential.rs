@@ -56,6 +56,25 @@ fn all_organizations_match_oracle_on_all_kernels() {
     }
 }
 
+/// Split store issue with the checker off, so nothing but the production
+/// scan runs: a split store whose data producer issues earlier in the same
+/// pass may issue that cycle, so the scan must see wakes that happen
+/// mid-pass.
+#[test]
+fn split_store_issue_matches_oracle_unchecked() {
+    for (name, cfg) in machine::figure17_machines() {
+        let cfg = SimConfig { split_store_issue: true, ..cfg };
+        for bench in Benchmark::all() {
+            let trace = trace_cached(bench, 20_000).expect("kernel runs");
+            assert_eq!(
+                Simulator::new(cfg).run(&trace).fingerprint(),
+                OracleSimulator::new(cfg).run(&trace).fingerprint(),
+                "{name} x {bench} with split store issue"
+            );
+        }
+    }
+}
+
 /// Synthetic-trace mixes chosen to stress distinct mechanisms: the default
 /// SPEC-ish mix, a memory-heavy small-working-set mix (store-to-load
 /// forwarding and cache misses), an unpredictable-branch mix (squash
