@@ -7,9 +7,9 @@
 //! hash over the three inputs the simulation is a pure function of:
 //!
 //! 1. **trace fingerprint** per benchmark — a hash of the serialized
-//!    dynamic trace ([`ce_workloads::trace_io::format_trace`]'s exact
-//!    text) at the sweep's instruction cap, so any change to a kernel,
-//!    the emulator, or the cap changes the key;
+//!    dynamic trace ([`ce_workloads::trace_io::write_trace`]'s exact
+//!    bytes, streamed into the hash) at the sweep's instruction cap, so
+//!    any change to a kernel, the emulator, or the cap changes the key;
 //! 2. **config fingerprint** per machine — a hash of the full
 //!    [`SimConfig`] debug form (every field participates, the same
 //!    convention the checkpoint sweep id uses);
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ce_sim::SimConfig;
-use ce_workloads::{trace_cached, trace_io::format_trace, Benchmark};
+use ce_workloads::{trace_cached, trace_io::write_trace, Benchmark};
 
 use crate::checkpoint::write_atomic;
 use crate::runner::{Job, RunOptions, SweepSummary};
@@ -39,8 +39,9 @@ use crate::runner::{Job, RunOptions, SweepSummary};
 pub const MANIFEST_SCHEMA: &str = "ce-bench.manifest.v1";
 
 /// Incremental FNV-1a (64-bit) — the repo's one hash, shared with the
-/// checkpoint sweep id. `fmt::Write` is implemented so debug forms can be
-/// hashed without materializing the string.
+/// checkpoint sweep id. `fmt::Write` and `io::Write` are implemented so
+/// debug forms and streamed traces can be hashed without materializing
+/// the string.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -77,6 +78,17 @@ impl std::fmt::Write for Fnv64 {
     }
 }
 
+impl std::io::Write for Fnv64 {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.eat(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Hashes one string through FNV-1a, returning the 16-hex form.
 fn fnv_hex(text: &str) -> String {
     let mut h = Fnv64::default();
@@ -92,9 +104,11 @@ pub fn code_version() -> String {
 }
 
 /// Fingerprint of one benchmark's dynamic trace at an instruction cap:
-/// FNV-1a over the exact serialized trace text. Memoized process-wide per
-/// `(benchmark, cap)` — the text of a full-length trace is tens of MB and
-/// every manifest of a sweep asks for the same seven.
+/// FNV-1a over the exact serialized trace text, streamed into the hash
+/// line by line so the text is never built. Memoized process-wide per
+/// `(benchmark, cap)` — hashing a full-length trace still streams tens of
+/// MB of text through the hash, and every manifest of a sweep asks for
+/// the same seven.
 ///
 /// # Errors
 ///
@@ -107,7 +121,9 @@ pub fn trace_fingerprint(bench: Benchmark, max_insts: u64) -> Result<String, Str
         return Ok(hit.clone());
     }
     let trace = trace_cached(bench, max_insts).map_err(|e| e.to_string())?;
-    let fp = fnv_hex(&format_trace(&trace));
+    let mut h = Fnv64::default();
+    write_trace(&trace, &mut h).expect("hashing cannot fail");
+    let fp = h.hex();
     memo.insert((bench, max_insts), fp.clone());
     Ok(fp)
 }

@@ -27,7 +27,7 @@
 
 use ce_sim::{machine, FaultSpec, KonataWriter, SimConfig, Simulator};
 use ce_workloads::{Benchmark, Emulator, Trace};
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -167,7 +167,12 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &opts.save_trace {
-        if let Err(e) = std::fs::write(path, ce_workloads::trace_io::format_trace(&trace)) {
+        let saved = std::fs::File::create(path).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            ce_workloads::trace_io::write_trace(&trace, &mut out)?;
+            out.flush()
+        });
+        if let Err(e) = saved {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -40,6 +40,8 @@ fn schedule_flag_prints_records_and_diagram() {
     assert!(stdout.contains("pipeline diagram"), "{stdout}");
 }
 
+/// The streamed save writes exactly `format_trace`'s text, and replaying
+/// it prints the same statistics as simulating the kernel directly.
 #[test]
 fn trace_save_and_replay_roundtrip() {
     let dir = std::env::temp_dir().join(format!("cesim-test-{}", std::process::id()));
@@ -53,7 +55,9 @@ fn trace_save_and_replay_roundtrip() {
         .output()
         .expect("save runs");
     assert!(save.status.success());
-    assert!(trace_path.exists());
+    let saved = std::fs::read_to_string(&trace_path).expect("saved trace");
+    let trace = ce_workloads::trace_benchmark(ce_workloads::Benchmark::M88ksim, 5000).unwrap();
+    assert!(saved == ce_workloads::trace_io::format_trace(&trace), "saved bytes differ");
 
     let replay = cesim()
         .args(["--machine", "window"])
@@ -64,6 +68,11 @@ fn trace_save_and_replay_roundtrip() {
     assert!(replay.status.success());
     let stdout = String::from_utf8_lossy(&replay.stdout);
     assert!(stdout.contains("instructions: 5000"), "{stdout}");
+    let direct = cesim()
+        .args(["--machine", "window", "--bench", "m88ksim", "--max-insts", "5000"])
+        .output()
+        .expect("direct run");
+    assert_eq!(stdout, String::from_utf8_lossy(&direct.stdout));
 
     std::fs::remove_dir_all(&dir).ok();
 }

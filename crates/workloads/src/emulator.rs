@@ -109,9 +109,36 @@ impl Emulator {
     /// Returns [`EmuError::PcOutOfBounds`] if the PC leaves the text
     /// segment (a wild jump in the program).
     pub fn step(&mut self) -> Result<Option<DynInst>, EmuError> {
-        if self.halted {
-            return Ok(None);
+        let mut record = None;
+        if !self.halted {
+            self.step_into(|d| record = Some(d))?;
         }
+        Ok(record)
+    }
+
+    /// Runs until `halt` or until `max_insts` instructions have executed,
+    /// collecting the trace. The trace is marked completed only if `halt`
+    /// was reached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError::PcOutOfBounds`] on a wild jump.
+    pub fn run(&mut self, max_insts: u64) -> Result<Trace, EmuError> {
+        let mut trace = Trace::new();
+        while !self.halted && (trace.len() as u64) < max_insts {
+            self.step_into(|d| trace.push(d))?;
+        }
+        if self.halted {
+            trace.mark_completed();
+        }
+        Ok(trace)
+    }
+
+    /// The one step body behind [`step`](Self::step) and
+    /// [`run`](Self::run): executes the instruction at the PC of a
+    /// running machine and hands its record to `emit`.
+    #[inline(always)]
+    fn step_into(&mut self, emit: impl FnOnce(DynInst)) -> Result<(), EmuError> {
         let pc = self.pc;
         let index = pc
             .checked_sub(self.text_base)
@@ -125,28 +152,8 @@ impl Emulator {
         if inst.opcode == Opcode::Halt {
             self.halted = true;
         }
-        Ok(Some(DynInst { seq: 0, pc, inst, next_pc, taken, mem_addr }))
-    }
-
-    /// Runs until `halt` or until `max_insts` instructions have executed,
-    /// collecting the trace. The trace is marked completed only if `halt`
-    /// was reached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::PcOutOfBounds`] on a wild jump.
-    pub fn run(&mut self, max_insts: u64) -> Result<Trace, EmuError> {
-        let mut trace = Trace::new();
-        while !self.halted && (trace.len() as u64) < max_insts {
-            match self.step()? {
-                Some(d) => trace.push(d),
-                None => break,
-            }
-        }
-        if self.halted {
-            trace.mark_completed();
-        }
-        Ok(trace)
+        emit(DynInst { seq: 0, pc, inst, next_pc, taken, mem_addr });
+        Ok(())
     }
 
     /// Runs to `halt`, failing if the program does not finish within

@@ -5,11 +5,17 @@ use std::collections::HashMap;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Offset of `addr` within its page.
+fn offset(addr: u32) -> usize {
+    addr as usize & (PAGE_SIZE - 1)
+}
+
 /// A sparse 32-bit byte-addressable memory.
 ///
-/// Pages are allocated on first touch and zero-filled, so programs may read
-/// uninitialized memory (it reads as zero, as under SimpleScalar). Accesses
-/// may be unaligned; multi-byte values are little-endian.
+/// Pages are allocated on first write and zero-filled, so programs may read
+/// uninitialized memory (it reads as zero, as under SimpleScalar); reads
+/// never allocate. Accesses may be unaligned; multi-byte values are
+/// little-endian. A halfword or word inside one page costs one page lookup.
 ///
 /// ```
 /// use ce_workloads::Memory;
@@ -38,47 +44,66 @@ impl Memory {
     /// Reads one byte.
     pub fn read_byte(&self, addr: u32) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr as usize) & (PAGE_SIZE - 1)],
+            Some(page) => page[offset(addr)],
             None => 0,
         }
     }
 
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[offset(addr)] = value;
     }
 
     /// Reads a little-endian halfword (may be unaligned).
     pub fn read_half(&self, addr: u32) -> u16 {
-        u16::from_le_bytes([self.read_byte(addr), self.read_byte(addr.wrapping_add(1))])
+        u16::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian halfword (may be unaligned).
     pub fn write_half(&mut self, addr: u32, value: u16) {
-        let [a, b] = value.to_le_bytes();
-        self.write_byte(addr, a);
-        self.write_byte(addr.wrapping_add(1), b);
+        self.write(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian word (may be unaligned).
     pub fn read_word(&self, addr: u32) -> u32 {
-        u32::from_le_bytes([
-            self.read_byte(addr),
-            self.read_byte(addr.wrapping_add(1)),
-            self.read_byte(addr.wrapping_add(2)),
-            self.read_byte(addr.wrapping_add(3)),
-        ])
+        u32::from_le_bytes(self.read(addr))
     }
 
     /// Writes a little-endian word (may be unaligned).
     pub fn write_word(&mut self, addr: u32, value: u32) {
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            self.write_byte(addr.wrapping_add(i as u32), byte);
+        self.write(addr, value.to_le_bytes());
+    }
+
+    /// The page holding `addr`, allocated zero-filled on first write.
+    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// The `N` bytes from `addr` up: one page lookup when they share a
+    /// page, else byte by byte (a page crossing, or a wrap past
+    /// `u32::MAX`).
+    fn read<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let off = offset(addr);
+        if off + N > PAGE_SIZE {
+            return std::array::from_fn(|i| self.read_byte(addr.wrapping_add(i as u32)));
         }
+        match self.pages.get(&(addr >> PAGE_SHIFT)) {
+            Some(page) => page[off..off + N].try_into().expect("N bytes in one page"),
+            None => [0; N],
+        }
+    }
+
+    /// Writes `bytes` from `addr` up, with [`read`](Self::read)'s page
+    /// rule; only the pages written become resident.
+    fn write<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let off = offset(addr);
+        if off + N > PAGE_SIZE {
+            for (i, b) in bytes.into_iter().enumerate() {
+                self.write_byte(addr.wrapping_add(i as u32), b);
+            }
+            return;
+        }
+        self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
     }
 
     /// Copies a byte slice into memory starting at `addr`.

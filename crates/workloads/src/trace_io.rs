@@ -10,14 +10,21 @@
 //! …
 //! ```
 //!
-//! with all numeric fields in lowercase hex. The instruction is stored as
-//! its 32-bit encoding, so the file is self-contained and the decoder
-//! validates it on load.
+//! with all numeric fields in lowercase hex without leading zeros. The
+//! instruction is stored as its 32-bit encoding, so the file is
+//! self-contained and the decoder validates it on load.
+//!
+//! [`write_trace`] is the one serializer: it renders each line into a
+//! stack buffer and hands it to any [`Write`] sink, so a trace can be
+//! saved through a buffered file or hashed (the manifest's trace
+//! fingerprint) without its text ever existing as one string.
+//! [`format_trace`] collects the same bytes into a `String`.
 
 use crate::trace::{DynInst, Trace};
 use ce_isa::{decode, encode};
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Write};
 
 /// Error from [`parse_trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,24 +68,62 @@ impl Default for ParseLimits {
     }
 }
 
-/// Serializes a trace to the text format.
-pub fn format_trace(trace: &Trace) -> String {
-    let mut out = String::with_capacity(trace.len() * 32);
-    out.push_str(&format!("ce-trace v1 completed={}\n", trace.is_completed()));
-    for d in trace {
-        out.push_str(&format!(
-            "{:x} {:x} {:x} {}",
-            d.pc,
-            encode(&d.inst),
-            d.next_pc,
-            u8::from(d.taken)
-        ));
-        if let Some(addr) = d.mem_addr {
-            out.push_str(&format!(" {addr:x}"));
-        }
-        out.push('\n');
+/// Longest canonical op line: four 8-digit hex fields, the taken flag,
+/// four separators and the newline.
+const MAX_LINE: usize = 4 * 8 + 1 + 4 + 1;
+
+/// Appends `value` as lowercase hex without leading zeros (`0` for zero)
+/// at `buf[at..]`, returning the index just past it.
+fn put_hex(buf: &mut [u8; MAX_LINE], at: usize, value: u32) -> usize {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let len = (32 - (value | 1).leading_zeros()).div_ceil(4) as usize;
+    for i in 0..len {
+        buf[at + len - 1 - i] = DIGITS[(value >> (4 * i)) as usize & 0xf];
     }
-    out
+    at + len
+}
+
+/// Renders one op's line (newline included) into `buf`, returning its
+/// length.
+fn put_line(buf: &mut [u8; MAX_LINE], d: &DynInst) -> usize {
+    let mut at = put_hex(buf, 0, d.pc);
+    buf[at] = b' ';
+    at = put_hex(buf, at + 1, encode(&d.inst));
+    buf[at] = b' ';
+    at = put_hex(buf, at + 1, d.next_pc);
+    buf[at] = b' ';
+    buf[at + 1] = if d.taken { b'1' } else { b'0' };
+    at += 2;
+    if let Some(addr) = d.mem_addr {
+        buf[at] = b' ';
+        at = put_hex(buf, at + 1, addr);
+    }
+    buf[at] = b'\n';
+    at + 1
+}
+
+/// Streams a trace's text into `out`: the header, then one write per op
+/// line. The bytes are exactly those of [`format_trace`].
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_trace<W: Write + ?Sized>(trace: &Trace, out: &mut W) -> io::Result<()> {
+    writeln!(out, "ce-trace v1 completed={}", trace.is_completed())?;
+    let mut line = [0u8; MAX_LINE];
+    for d in trace {
+        let len = put_line(&mut line, d);
+        out.write_all(&line[..len])?;
+    }
+    Ok(())
+}
+
+/// Serializes a trace to the text format, collecting [`write_trace`]'s
+/// output.
+pub fn format_trace(trace: &Trace) -> String {
+    let mut out = Vec::with_capacity(trace.len() * 32);
+    write_trace(trace, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the trace format is ASCII")
 }
 
 /// Parses the text format back into a [`Trace`], under the default
