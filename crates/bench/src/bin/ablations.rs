@@ -44,7 +44,8 @@ fn main() {
     }
     let jobs: Vec<runner::Job> =
         configs.into_iter().map(|cfg| (Benchmark::Perl, cfg)).collect();
-    let mut results = runner::run_all(&jobs).into_iter();
+    let sweep = runner::run_sweep(&jobs, ce_bench::max_insts(), runner::RunOptions::default());
+    let mut results = sweep.ok_cells().map(|cell| cell.stats.clone());
 
     println!("Ablation 1: FIFO geometry (dependence-based 8-way, perl)");
     println!("{:>7} {:>7} {:>10} {:>8}", "fifos", "depth", "capacity", "IPC");

@@ -68,6 +68,7 @@ mod unix {
     use ce_bench::iofault::{self, FaultClass};
     use ce_bench::json::Json;
     use ce_bench::service::MAX_REQUEST_LINE;
+    use ce_bench::telemetry;
     use rand::{Rng, SeedableRng, StdRng};
 
     struct Options {
@@ -503,17 +504,13 @@ mod unix {
             else {
                 continue;
             };
-            let mut cells = BTreeSet::new();
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines().skip(1) {
-                    let Ok(doc) = Json::parse(line) else { continue };
-                    if doc.at("ev").and_then(Json::as_str) == Some("checkpoint-write") {
-                        if let Some(cell) = doc.at("cell").and_then(Json::as_u64) {
-                            cells.insert(cell);
-                        }
-                    }
-                }
-            }
+            let bytes = std::fs::read(&path).unwrap_or_default();
+            let records = telemetry::FORMAT.parse(&bytes).map(|p| p.records).unwrap_or_default();
+            let cells = records
+                .iter()
+                .filter(|(_, doc)| doc.at("ev").and_then(Json::as_str) == Some("checkpoint-write"))
+                .filter_map(|(_, doc)| doc.at("cell").and_then(Json::as_u64))
+                .collect();
             jobs.entry(id).or_default().push(cells);
         }
         jobs

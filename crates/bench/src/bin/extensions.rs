@@ -64,7 +64,8 @@ fn main() {
             }
         }
     }
-    let mut results = runner::run_all(&jobs).into_iter();
+    let sweep = runner::run_sweep(&jobs, ce_bench::max_insts(), runner::RunOptions::default());
+    let mut results = sweep.ok_cells().map(|cell| cell.stats.clone());
     let mut cell = move || results.next().expect("one result per cell");
 
     println!("Extension 1: pipelined wakeup+select (window machine)");

@@ -57,7 +57,8 @@ fn main() {
             jobs.push((bench, *cfg));
         }
     }
-    let mut results = runner::run_all(&jobs).into_iter();
+    let sweep = runner::run_sweep(&jobs, ce_bench::max_insts(), runner::RunOptions::default());
+    let mut results = sweep.ok_cells().map(|cell| cell.stats.clone());
 
     let mut fig13 = String::from("benchmark,window_ipc,dependence_ipc\n");
     let mut fig15 = String::from("benchmark,window_ipc,clustered_ipc,ic_bypass_pct,speedup\n");

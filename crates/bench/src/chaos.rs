@@ -23,18 +23,19 @@
 //! ## The grid
 //!
 //! [`durability_workload`] drives every durability-critical shape the
-//! service owns — an atomic CSV write, a WAL-shaped append-and-fsync
-//! journal, a checkpoint [`Journal`](crate::checkpoint::Journal) cycle,
-//! and content-addressed store inserts — through the fault seam on a
-//! single thread, so the seam's op counter gives a stable *horizon* (the
-//! number of fault-eligible operations). The grid is then exhaustive:
-//! every non-crash fault class × every op index, in-process via
+//! service owns — an atomic CSV write, the job WAL's own records through
+//! the [`journal`](crate::journal) appender with an fsync each, a
+//! checkpoint [`Journal`](crate::checkpoint::Journal) cycle, and
+//! content-addressed store inserts — through the fault seam on a single
+//! thread, so the seam's op counter gives a stable *horizon* (the number
+//! of fault-eligible operations). The grid is then exhaustive: every
+//! non-crash fault class × every op index, in-process via
 //! [`crate::iofault::with_plan`]. Crash cases need a process to die, so
 //! `cechaos` runs the same workload in a subprocess (its `--worker`
 //! mode) with `CE_IOFAULT=crash@K` and classifies the wreckage with
-//! [`classify_crash_case`]. Horizon ≈ 26 ops × 5 classes ⇒ the ≥ 100
-//! seeded cases the acceptance contract asks for, with zero flakiness:
-//! the grid is a pure function of the workload.
+//! [`classify_crash_case`]. Horizon 27 ops × 5 classes ⇒ 135 cases,
+//! past the ≥ 100 the acceptance contract asks for, with zero
+//! flakiness: the grid is a pure function of the workload.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,7 +44,6 @@ use std::time::Duration;
 
 use ce_sim::SimStats;
 
-use crate::api::{JobSpec, SweepKind};
 use crate::checkpoint::{write_atomic, CheckpointSpec, Journal};
 use crate::iofault::{self, FailPlan, FaultClass};
 use crate::runner::TimedResult;
@@ -192,8 +192,9 @@ pub fn synthetic_result(k: u64) -> TimedResult {
 ///
 /// 1. a rendered CSV via [`write_atomic`] (create → write → fsync →
 ///    rename),
-/// 2. a WAL-shaped journal: create, header + records as separate line
-///    writes, one fsync — the `jobs.jsonl` discipline,
+/// 2. the job WAL: its header and a `submitted` + `done` pair, written
+///    with the service's own record builders through the journal
+///    appender, one fsync per record as `cesimd` does,
 /// 3. a checkpoint [`Journal`] open/record/finish cycle (resuming
 ///    whatever a previous faulted pass left behind, exactly like a
 ///    restarted sweep), and
@@ -210,21 +211,19 @@ pub fn durability_workload(dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     write_atomic(&dir.join("results.csv"), WORKLOAD_CSV)?;
 
-    let spec = JobSpec::preset(SweepKind::Fig13);
-    let mut wal = iofault::create(&dir.join("jobs.jsonl"))?;
-    let lines = [
-        "{\"ce_jobs_wal\": 1, \"next\": 2}\n".to_owned(),
-        format!(
-            "{{\"job\": 1, \"state\": \"submitted\", \"degraded\": false, \"spec\": {}}}\n",
-            spec.to_json()
-        ),
-        "{\"job\": 1, \"state\": \"done\"}\n".to_owned(),
-    ];
-    for line in &lines {
-        iofault::write_all(&mut wal, line.as_bytes())?;
+    #[cfg(unix)] // the WAL belongs to the daemon, which needs Unix sockets
+    {
+        use crate::api::{JobSpec, SweepKind};
+        use crate::service::{done_record, submitted_record, wal_header};
+        let spec = JobSpec::preset(SweepKind::Fig13);
+        let mut wal = crate::journal::Appender::create(
+            &dir.join("jobs.jsonl"),
+            &wal_header(2),
+            true,
+        )?;
+        wal.append(submitted_record(1, &spec, false))?;
+        wal.append(done_record(1))?;
     }
-    iofault::sync(&wal)?;
-    drop(wal);
 
     let ckpt = CheckpointSpec { path: dir.join("ckpt").join("w.ckpt.jsonl"), resume: true };
     let (mut journal, _recovered) = Journal::open(&ckpt, 0xCE05, 3)?;

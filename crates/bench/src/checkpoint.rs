@@ -3,7 +3,8 @@
 //!
 //! ## Journal format (`results/*.ckpt.jsonl`)
 //!
-//! Line-oriented JSON, one object per line, append-only:
+//! A [`crate::journal`] file tagged `ce_sweep_ckpt`, one completed cell
+//! per record:
 //!
 //! ```text
 //! {"ce_sweep_ckpt": 1, "sweep": "<16-hex sweep id>", "cells": N}
@@ -21,11 +22,13 @@
 //! instruction cap, and the run options — so a stale journal from a
 //! different sweep (or the same sweep at a different cap) is discarded
 //! rather than replayed into the wrong grid. Each completed cell is
-//! appended and flushed before the worker moves on, so a process killed
-//! mid-sweep loses at most the cells in flight. On load, a torn final
-//! line (the `kill -9` signature) is tolerated and dropped; corruption
-//! anywhere else discards the whole journal — resuming from bytes we
-//! cannot trust would be worse than redoing the work.
+//! appended before the worker moves on, so a process killed mid-sweep
+//! loses at most the cells in flight. Loading follows the journal
+//! module's torn-tail rule: a damaged final line is dropped (and cut off
+//! the file before the next append), damage anywhere else discards the
+//! whole journal — resuming from bytes we cannot trust would be worse
+//! than redoing the work. A failed append is rolled back on the spot, so
+//! the sweep's later cells still journal cleanly.
 //!
 //! Statistics are journaled losslessly: every `u64` counter in
 //! [`SimStats`] round-trips exactly (counters sit far below 2^53, the
@@ -37,13 +40,19 @@
 //! result CSVs themselves are written via [`write_atomic`]
 //! (tempfile + rename), so readers never observe a half-written table.
 
-use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use ce_sim::{SampledStats, SimStats, StallCause};
 
+use crate::journal::{Appender, Format};
 use crate::json::Json;
 use crate::runner::{Job, RunOptions, TimedResult};
+
+/// The checkpoint journal: tag `ce_sweep_ckpt`, one `(cell, result)` per
+/// record.
+pub const FORMAT: Format<(usize, TimedResult)> =
+    Format { tag: "ce_sweep_ckpt", decode: decode_cell };
 
 /// Where a sweep checkpoints, and whether to load what is already there.
 #[derive(Debug, Clone)]
@@ -79,12 +88,11 @@ pub fn sweep_id(jobs: &[Job], max_insts: u64, opts: RunOptions) -> u64 {
 }
 
 /// An open, appendable sweep journal. Appends go through the
-/// [`crate::iofault`] seam one complete line at a time, so an injected
-/// torn write leaves exactly the torn-final-line shape the loader
-/// already tolerates.
+/// [`crate::journal`] appender one complete line at a time, so a failed
+/// append never leaves a torn line for the next record to land on.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: Appender,
     path: PathBuf,
 }
 
@@ -96,54 +104,31 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O errors creating or reading the journal file. A journal that
-    /// exists but fails validation (wrong sweep id, wrong cell count,
-    /// mid-file corruption) is *not* an error — it is discarded and the
-    /// sweep starts fresh.
+    /// I/O errors creating, reading, or truncating the journal file. A
+    /// journal that exists but fails validation (wrong sweep id, wrong
+    /// cell count, mid-file corruption) is *not* an error — it is
+    /// discarded and the sweep starts fresh.
     pub fn open(
         spec: &CheckpointSpec,
         id: u64,
         cells: usize,
     ) -> std::io::Result<(Journal, Vec<Option<TimedResult>>)> {
-        let mut recovered: Vec<Option<TimedResult>> = vec![None; cells];
-        let mut replay = false;
-        // A torn final line (kill -9 or a torn write mid-append) is
-        // dropped by the loader, but it must also be truncated off the
-        // file before appending: a record appended after the half-line
-        // would merge with it into one garbage line and be silently
-        // lost on the *next* resume.
-        let mut keep_bytes: Option<u64> = None;
-        if spec.resume {
-            if let Ok(text) = std::fs::read_to_string(&spec.path) {
-                if let Some(loaded) = load_journal(&text, id, cells) {
-                    recovered = loaded;
-                    replay = true;
-                    if !text.ends_with('\n') {
-                        let keep = text.rfind('\n').map_or(0, |i| i + 1);
-                        keep_bytes = Some(keep as u64);
-                    }
-                }
-            }
-        }
-        if let Some(dir) = spec.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let file = if replay {
-            if let Some(keep) = keep_bytes {
-                let f = std::fs::OpenOptions::new().write(true).open(&spec.path)?;
-                f.set_len(keep)?;
-            }
-            crate::iofault::open_append(&spec.path)?
+        let loaded = if spec.resume {
+            std::fs::read(&spec.path).ok().and_then(|bytes| load(&bytes, id, cells))
         } else {
-            let mut f = crate::iofault::create(&spec.path)?;
-            let header =
-                format!("{{\"ce_sweep_ckpt\": 1, \"sweep\": \"{id:016x}\", \"cells\": {cells}}}\n");
-            crate::iofault::write_all(&mut f, header.as_bytes())?;
-            f
+            None
         };
-        Ok((Journal { file, path: spec.path.clone() }, recovered))
+        let (log, recovered) = match loaded {
+            // Resuming cuts a torn tail off before the first append.
+            Some((recovered, len)) if len > 0 => {
+                (Appender::resume(&spec.path, len, false)?, recovered)
+            }
+            _ => {
+                let fields = format!("\"sweep\": \"{id:016x}\", \"cells\": {cells}");
+                (Appender::create(&spec.path, &FORMAT.header(&fields), false)?, vec![None; cells])
+            }
+        };
+        Ok((Journal { log, path: spec.path.clone() }, recovered))
     }
 
     /// Appends one completed cell as a single unbuffered write, so the
@@ -151,129 +136,65 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O errors from the append (injected faults included; a torn
-    /// append leaves a recoverable torn final line, never a torn middle).
+    /// I/O errors from the append (injected faults included); the failed
+    /// record is rolled back, so the journal stays loadable.
     pub fn record(&mut self, cell: usize, result: &TimedResult) -> std::io::Result<()> {
         let sampled = match &result.sampled {
             Some(s) => format!(", \"sampled\": {}", sampled_to_json(s)),
             None => String::new(),
         };
-        let line = format!(
-            "{{\"cell\": {cell}, \"wall_us\": {}, \"stats\": {}{sampled}}}\n",
+        self.log.append(format!(
+            "{{\"cell\": {cell}, \"wall_us\": {}, \"stats\": {}{sampled}}}",
             result.wall.as_micros(),
             stats_to_json(&result.stats)
-        );
-        crate::iofault::write_all(&mut self.file, line.as_bytes())
+        ))
     }
 
     /// Removes the journal — the sweep completed and its results were
     /// written, so there is nothing left to resume.
     pub fn finish(self) {
-        drop(self.file);
+        drop(self.log);
         let _ = std::fs::remove_file(&self.path);
     }
 }
 
-/// Parses a journal, returning the recovered cells if it belongs to this
-/// sweep and is trustworthy, else `None`. A torn final line is dropped;
-/// torn or corrupt lines anywhere else invalidate the journal.
-fn load_journal(text: &str, id: u64, cells: usize) -> Option<Vec<Option<TimedResult>>> {
-    let mut lines = text.lines().peekable();
-    let header = Json::parse(lines.next()?).ok()?;
-    if header.at("ce_sweep_ckpt").and_then(Json::as_u64) != Some(1)
-        || header.at("sweep").and_then(Json::as_str) != Some(format!("{id:016x}").as_str())
+/// The cells a journal recovers for this sweep, plus the byte length of
+/// its trusted prefix (0 for an empty journal, which holds no header to
+/// append after). `None` when the journal belongs to another sweep or
+/// cannot be trusted.
+pub(crate) fn load(
+    bytes: &[u8],
+    id: u64,
+    cells: usize,
+) -> Option<(Vec<Option<TimedResult>>, u64)> {
+    let parsed = FORMAT.parse(bytes).ok()?;
+    let mut recovered: Vec<Option<TimedResult>> = vec![None; cells];
+    let Some(header) = parsed.header else {
+        return Some((recovered, 0));
+    };
+    if header.at("sweep").and_then(Json::as_str) != Some(format!("{id:016x}").as_str())
         || header.at("cells").and_then(Json::as_u64) != Some(cells as u64)
     {
         return None;
     }
-    let mut recovered: Vec<Option<TimedResult>> = vec![None; cells];
-    while let Some(line) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = Json::parse(line).ok().and_then(|doc| {
-            let cell = doc.at("cell")?.as_u64()? as usize;
-            let wall_us = doc.at("wall_us")?.as_u64()?;
-            let stats = stats_from_json(doc.at("stats")?)?;
-            // A cell journaled without a sampled block was an exact run; a
-            // present-but-malformed block is corruption like any other.
-            let sampled = match doc.at("sampled") {
-                Some(s) => Some(sampled_from_json(s)?),
-                None => None,
-            };
-            Some((cell, wall_us, stats, sampled))
-        });
-        match parsed {
-            Some((cell, wall_us, stats, sampled)) if cell < cells => {
-                recovered[cell] = Some(TimedResult {
-                    stats,
-                    sampled,
-                    wall: std::time::Duration::from_micros(wall_us),
-                });
-            }
-            _ if lines.peek().is_none() => {
-                // Torn final line: the kill arrived mid-append. The cell
-                // simply reruns.
-                break;
-            }
-            _ => return None, // corruption before the end: distrust it all
-        }
+    for (cell, result) in parsed.records {
+        *recovered.get_mut(cell)? = Some(result);
     }
-    Some(recovered)
+    Some((recovered, parsed.len))
 }
 
-/// Structural health of a line-oriented journal file, as `fsck` reports
-/// it. "Structural" means every line parses with the fields its format
-/// requires — not that it belongs to any particular sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalClass {
-    /// Header and every record line parse.
-    Valid,
-    /// Every line but the last parses; the last is torn — the `kill -9`
-    /// mid-append signature every loader already drops. Recoverable.
-    TornTail,
-    /// A line *before* the end fails to parse: real corruption. Loaders
-    /// discard such journals wholesale; `fsck` quarantines them.
-    Corrupt,
-}
-
-/// Classifies a checkpoint journal's text structurally: header tag, then
-/// one `{"cell": …, "wall_us": …, "stats": …}` record per line. An
-/// empty file (or a lone torn header) is [`JournalClass::TornTail`] —
-/// the crash landed before or inside the header write, and recovery
-/// simply starts the sweep fresh.
-pub fn classify_journal(text: &str) -> JournalClass {
-    classify_lines(text, |is_header, doc| {
-        if is_header {
-            doc.at("ce_sweep_ckpt").and_then(Json::as_u64) == Some(1)
-        } else {
-            doc.at("cell").and_then(Json::as_u64).is_some()
-                && doc.at("wall_us").and_then(Json::as_u64).is_some()
-                && doc.at("stats").and_then(stats_from_json).is_some()
-        }
-    })
-}
-
-/// Shared line-walk for journal classification: `check(is_header, doc)`
-/// validates one parsed line. Torn-tail tolerance matches every loader
-/// in this crate: only the **final** line may fail.
-pub(crate) fn classify_lines(
-    text: &str,
-    check: impl Fn(bool, &Json) -> bool,
-) -> JournalClass {
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() {
-        return JournalClass::TornTail;
-    }
-    let last = lines.len() - 1;
-    for (i, line) in lines.iter().enumerate() {
-        let ok = !line.trim().is_empty()
-            && Json::parse(line).is_ok_and(|doc| check(i == 0, &doc));
-        if !ok {
-            return if i == last { JournalClass::TornTail } else { JournalClass::Corrupt };
-        }
-    }
-    JournalClass::Valid
+/// Decodes one [`Journal::record`] line. A cell journaled without a
+/// sampled block was an exact run; a present-but-malformed block is
+/// damage like any other.
+fn decode_cell(doc: Json) -> Option<(usize, TimedResult)> {
+    let cell = usize::try_from(doc.at("cell")?.as_u64()?).ok()?;
+    let wall = Duration::from_micros(doc.at("wall_us")?.as_u64()?);
+    let stats = stats_from_json(doc.at("stats")?)?;
+    let sampled = match doc.at("sampled") {
+        Some(s) => Some(sampled_from_json(s)?),
+        None => None,
+    };
+    Some((cell, TimedResult { stats, sampled, wall }))
 }
 
 /// Serializes every [`SimStats`] counter to a JSON object, losslessly.
@@ -407,11 +328,7 @@ pub(crate) fn stats_from_json(doc: &Json) -> Option<SimStats> {
 /// I/O errors from the write, fsync, or rename; the tempfile is cleaned
 /// up on failure.
 pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
+    create_parent(path)?;
     let tmp = path.with_extension(format!(
         "tmp.{}",
         std::process::id(),
@@ -427,6 +344,14 @@ pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Creates the directory `path` sits in, if it names one.
+pub(crate) fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -533,35 +458,6 @@ mod tests {
         let (_j, recovered) = Journal::open(&spec, 43, 3).unwrap(); // different sweep
         assert!(recovered.iter().all(Option::is_none));
         let (_j, recovered) = Journal::open(&spec, 42, 4).unwrap(); // different grid
-        assert!(recovered.iter().all(Option::is_none));
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_final_line_is_tolerated_and_dropped() {
-        let dir = temp_dir("torn");
-        let spec = CheckpointSpec::for_output(&dir.join("t.csv"), true);
-        let (mut j, _) = Journal::open(&spec, 7, 2).unwrap();
-        j.record(0, &TimedResult { stats: sample_stats(0), sampled: None, wall: Duration::ZERO }).unwrap();
-        j.record(1, &TimedResult { stats: sample_stats(1), sampled: None, wall: Duration::ZERO }).unwrap();
-        drop(j);
-
-        // Tear the last line the way kill -9 mid-append does.
-        let text = std::fs::read_to_string(&spec.path).unwrap();
-        let torn = &text[..text.len() - 20];
-        std::fs::write(&spec.path, torn).unwrap();
-
-        let (_j, recovered) = Journal::open(&spec, 7, 2).unwrap();
-        assert!(recovered[0].is_some(), "intact line survives");
-        assert!(recovered[1].is_none(), "torn line reruns");
-
-        // Corruption *before* the end distrusts the whole journal.
-        let mut lines: Vec<String> =
-            text.lines().map(str::to_string).collect();
-        lines[1] = "{\"cell\": garbage".into();
-        std::fs::write(&spec.path, lines.join("\n") + "\n").unwrap();
-        let (_j, recovered) = Journal::open(&spec, 7, 2).unwrap();
         assert!(recovered.iter().all(Option::is_none));
 
         std::fs::remove_dir_all(&dir).ok();

@@ -1,18 +1,20 @@
 //! `cesimd --fsck`: the state-directory recovery auditor.
 //!
 //! Every durable file the experiment service writes has a loader that
-//! already knows how to recover it — the WAL tolerates a torn final
-//! line, checkpoint journals drop theirs, the store deletes unparseable
-//! entries. What none of those loaders do is *account* for what they
-//! found: a daemon that silently discards a corrupt journal has honored
-//! the zero-corruption contract but hidden the evidence. `fsck` walks a
-//! state directory and classifies **every** file against the format its
-//! location claims:
+//! already knows how to recover it — the journals drop a torn final line
+//! under [`crate::journal`]'s one torn-tail rule, the store deletes
+//! unparseable entries. What none of those loaders do is *account* for
+//! what they found: a daemon that silently discards a corrupt journal has
+//! honored the zero-corruption contract but hidden the evidence. `fsck`
+//! walks a state directory and classifies **every** file against the
+//! format its location claims — each journal through the very
+//! [`Format::parse`](crate::journal::Format::parse) its loader runs, so
+//! the audit and the loader can never disagree:
 //!
 //! | class | meaning | action (`fix`) |
 //! |---|---|---|
 //! | `valid` | parses completely | none |
-//! | `torn-tail` | only the final line is damaged — the `kill -9` mid-append signature; the loader recovers everything before it | none (recoverable as-is) |
+//! | `torn-tail` | only the final line is damaged — the `kill -9` mid-append signature — or the journal is empty; the loader recovers everything before it | none (recoverable as-is) |
 //! | `orphan-temp` | a `*.tmp.<pid>` left by a crash between create and rename | deleted |
 //! | `quarantined` | damage a loader would have to guess about | moved to `<state>/quarantine/`, bytes preserved |
 //!
@@ -34,8 +36,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::api::JobSpec;
-use crate::checkpoint::{classify_journal, classify_lines, JournalClass};
+use crate::journal::JournalClass;
 use crate::json::Json;
 use crate::manifest::Fnv64;
 
@@ -176,19 +177,18 @@ pub fn fsck(state_dir: &Path, fix: bool) -> std::io::Result<FsckReport> {
         });
     }
 
-    audit_wal(state_dir, fix, &mut report)?;
-    audit_journals(&state_dir.join("ckpt"), state_dir, fix, &mut report, classify_journal)?;
-    audit_journals(&state_dir.join("telemetry"), state_dir, fix, &mut report, |text| {
-        classify_lines(text, |is_header, doc| {
-            if is_header {
-                doc.at("ce_telemetry").and_then(Json::as_u64)
-                    == Some(crate::telemetry::TELEMETRY_VERSION)
-            } else {
-                doc.at("t_us").and_then(Json::as_u64).is_some()
-                    && doc.at("ev").and_then(Json::as_str).is_some()
+    for (path, classify) in journals(state_dir) {
+        let (class, detail) = match classify(&std::fs::read(&path).unwrap_or_default()) {
+            JournalClass::Valid => (FileClass::Valid, ""),
+            JournalClass::TornTail => {
+                (FileClass::TornTail, "torn final line; loader drops it and replays the rest")
             }
-        })
-    })?;
+            JournalClass::Corrupt => {
+                (FileClass::Quarantined, "damage before the final line; cannot be trusted")
+            }
+        };
+        record(state_dir, fix, &mut report, &path, class, detail)?;
+    }
     audit_store(state_dir, fix, &mut report)?;
     audit_artifacts(state_dir, fix, &mut report)?;
     Ok(report)
@@ -259,78 +259,32 @@ fn record(
     Ok(())
 }
 
-/// Maps a journal classification onto the report vocabulary.
-fn journal_verdict(class: JournalClass) -> (FileClass, &'static str) {
-    match class {
-        JournalClass::Valid => (FileClass::Valid, ""),
-        JournalClass::TornTail => {
-            (FileClass::TornTail, "torn final line; loader drops it and replays the rest")
-        }
-        JournalClass::Corrupt => {
-            (FileClass::Quarantined, "damage before the final line; cannot be trusted")
+/// A journal's structural verdict, from the parse its loader runs.
+type Classify = fn(&[u8]) -> JournalClass;
+
+/// The state dir's journals, each paired with its format's classifier:
+/// the jobs WAL, then every checkpoint and telemetry journal.
+fn journals(state_dir: &Path) -> Vec<(PathBuf, Classify)> {
+    let mut found: Vec<(PathBuf, Classify)> = Vec::new();
+    #[cfg(unix)]
+    {
+        let wal = state_dir.join("jobs.jsonl");
+        if wal.is_file() {
+            found.push((wal, |bytes| crate::service::WAL.classify(bytes)));
         }
     }
-}
-
-/// The jobs WAL: header tag plus `submitted`/`done` records. `submitted`
-/// records must carry a spec the daemon could actually replay — a
-/// structurally-JSON line whose spec no longer parses is corruption,
-/// not history.
-fn audit_wal(
-    state_dir: &Path,
-    fix: bool,
-    report: &mut FsckReport,
-) -> std::io::Result<()> {
-    let path = state_dir.join("jobs.jsonl");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(()); // no WAL yet: nothing to audit
-    };
-    let class = classify_lines(&text, |is_header, doc| {
-        if is_header {
-            doc.at("ce_jobs_wal").and_then(Json::as_u64) == Some(1)
-        } else {
-            let job = doc.at("job").and_then(Json::as_u64).is_some();
-            match doc.at("state").and_then(Json::as_str) {
-                Some("submitted") => {
-                    job && doc.at("spec").is_some_and(|s| JobSpec::from_json(s).is_ok())
-                }
-                Some("done") => job,
-                _ => false,
+    let per_dir: [(&str, Classify); 2] = [
+        ("ckpt", |bytes| crate::checkpoint::FORMAT.classify(bytes)),
+        ("telemetry", |bytes| crate::telemetry::FORMAT.classify(bytes)),
+    ];
+    for (dir, classify) in per_dir {
+        for path in files_in(&state_dir.join(dir)) {
+            if path.extension().is_some_and(|x| x == "jsonl") {
+                found.push((path, classify));
             }
         }
-    });
-    let (verdict, detail) = journal_verdict(class);
-    record(state_dir, fix, report, &path, verdict, detail)
-}
-
-/// Line-oriented journals under one directory (`ckpt/`, `telemetry/`),
-/// each classified by the caller's format check.
-fn audit_journals(
-    dir: &Path,
-    state_dir: &Path,
-    fix: bool,
-    report: &mut FsckReport,
-    classify: impl Fn(&str) -> JournalClass,
-) -> std::io::Result<()> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Ok(());
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && !is_tempfile(p)
-                && p.extension().is_some_and(|x| x == "jsonl")
-        })
-        .collect();
-    paths.sort();
-    for path in paths {
-        let text = std::fs::read_to_string(&path).unwrap_or_default();
-        let (verdict, detail) = journal_verdict(classify(&text));
-        record(state_dir, fix, report, &path, verdict, detail)?;
     }
-    Ok(())
+    found
 }
 
 /// Store entries: each `<key>.json` must parse completely *and* embed
@@ -548,37 +502,118 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn wal_classes_cover_valid_torn_and_corrupt() {
-        let dir = state("wal");
-        let wal = dir.join("jobs.jsonl");
+    /// Unix only: the WAL's loader lives in the daemon's module.
+    #[cfg(unix)]
+    mod agreement {
+        use super::*;
+        use FileClass::{Quarantined, TornTail, Valid};
 
-        std::fs::write(&wal, "{\"ce_jobs_wal\": 1, \"next\": 4}\n{\"job\": 3, \"state\": \"done\"}\n")
-            .unwrap();
-        assert!(fsck(&dir, false).unwrap().clean());
+        /// One journal kind: where it lives in a state dir, a header and
+        /// two records its real writer produced, and its loader, reduced
+        /// to how many records it keeps (`None`: it discards the journal).
+        struct Kind {
+            path: &'static str,
+            lines: Vec<String>,
+            load: fn(&[u8]) -> Option<usize>,
+        }
 
-        std::fs::write(
-            &wal,
-            "{\"ce_jobs_wal\": 1, \"next\": 4}\n{\"job\": 3, \"state\": \"do",
-        )
-        .unwrap();
-        let report = fsck(&dir, false).unwrap();
-        assert_eq!(report.count(FileClass::TornTail), 1);
-        assert!(report.clean());
+        const CKPT_ID: u64 = 0xA6EE;
 
-        std::fs::write(
-            &wal,
-            "{\"ce_jobs_wal\": 1, \"next\": 4}\n{\"job\": ??}\n{\"job\": 3, \"state\": \"done\"}\n",
-        )
-        .unwrap();
-        let report = fsck(&dir, true).unwrap();
-        assert!(!report.clean());
-        assert!(!wal.exists(), "corrupt WAL moves to quarantine");
-        assert!(dir.join("quarantine").join("jobs.jsonl").exists(), "bytes preserved");
-        let rendered = report.to_string();
-        assert!(rendered.contains("error[fsck]"), "quarantine reports loudly: {rendered}");
+        fn lines_of(path: &Path) -> Vec<String> {
+            std::fs::read_to_string(path).unwrap().lines().map(str::to_owned).collect()
+        }
 
-        let _ = std::fs::remove_dir_all(&dir);
+        fn kinds(scratch: &Path) -> Vec<Kind> {
+            use crate::checkpoint::{CheckpointSpec, Journal};
+            use crate::telemetry::{Event, Telemetry, TelemetryConfig, TelemetrySink as _};
+            let spec = CheckpointSpec { path: scratch.join("k.ckpt.jsonl"), resume: false };
+            let (mut journal, _) = Journal::open(&spec, CKPT_ID, 2).unwrap();
+            for cell in 0..2 {
+                journal.record(cell, &crate::chaos::synthetic_result(cell as u64)).unwrap();
+            }
+            let config = TelemetryConfig {
+                name: "k".into(),
+                journal: Some(scratch.join("k.tel.jsonl")),
+                ..TelemetryConfig::default()
+            };
+            let tel = Telemetry::create(&config, vec![1, 1], 100).unwrap();
+            tel.emit(Event::CacheHit { cell: 0 });
+            tel.emit(Event::CacheHit { cell: 1 });
+            let spec_json = crate::api::JobSpec::preset(crate::api::SweepKind::Fig13);
+            vec![
+                Kind {
+                    path: "ckpt/job-1.ckpt.jsonl",
+                    lines: lines_of(&spec.path),
+                    load: |b| {
+                        let (cells, _) = crate::checkpoint::load(b, CKPT_ID, 2)?;
+                        Some(cells.iter().flatten().count())
+                    },
+                },
+                Kind {
+                    path: "jobs.jsonl",
+                    lines: vec![
+                        crate::service::wal_header(3),
+                        crate::service::submitted_record(1, &spec_json, false),
+                        crate::service::submitted_record(2, &spec_json, false),
+                    ],
+                    load: |b| Some(crate::service::parse_wal(b).ok()?.0.len()),
+                },
+                Kind {
+                    path: "telemetry/job-1.exec-0.jsonl",
+                    lines: lines_of(&scratch.join("k.tel.jsonl")),
+                    load: |b| {
+                        let text = std::str::from_utf8(b).ok()?;
+                        Some(crate::telemetry::HealthReport::from_journal(text).ok()?.cache_hits)
+                    },
+                },
+            ]
+        }
+
+        /// The loader/`fsck` agreement table: every journal kind's loader
+        /// and `fsck` read the same fixtures to the same verdict — records
+        /// kept with the file left in place (valid, or a dropped torn
+        /// tail), or the journal discarded and quarantined, bytes intact.
+        #[test]
+        fn loaders_and_fsck_agree_on_every_journal_shape() {
+            let root = state("agree");
+            for kind in kinds(&root) {
+                let [h, r1, r2] = [&kind.lines[0], &kind.lines[1], &kind.lines[2]];
+                let (t1, t2) = (&r1[..r1.len() / 2], &r2[..r2.len() / 2]);
+                let fixtures = [
+                    ("valid", format!("{h}\n{r1}\n{r2}\n"), Some(2), Valid),
+                    ("empty", String::new(), Some(0), TornTail),
+                    ("lone torn header", h[..h.len() / 2].to_owned(), Some(0), TornTail),
+                    ("torn final record", format!("{h}\n{r1}\n{t2}"), Some(1), TornTail),
+                    ("damage mid-file", format!("{h}\n{t1}\n{r2}\n"), None, Quarantined),
+                    ("blank line mid-file", format!("{h}\n{r1}\n\n{r2}\n"), None, Quarantined),
+                    ("final record, no newline", format!("{h}\n{r1}\n{r2}"), Some(1), TornTail),
+                    ("foreign header", format!("{{\"o\": 1}}\n{r1}\n{r2}\n"), None, Quarantined),
+                ];
+                for (shape, text, kept, class) in fixtures {
+                    let case = format!("{} / {shape}", kind.path);
+                    let dir = state("agree-case");
+                    let path = dir.join(kind.path);
+                    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                    std::fs::write(&path, &text).unwrap();
+
+                    assert_eq!((kind.load)(text.as_bytes()), kept, "{case}: loader");
+                    let report = fsck(&dir, true).unwrap();
+                    let item = report.items.iter().find(|i| i.path == path).expect("audited");
+                    assert_eq!(item.class, class, "{case}: fsck");
+                    if class == Quarantined {
+                        assert!(!path.exists(), "{case}: moved out of the state dir");
+                        let name = path.file_name().unwrap();
+                        let moved = std::fs::read(dir.join("quarantine").join(name)).unwrap();
+                        assert_eq!(moved, text.as_bytes(), "{case}: bytes preserved");
+                        assert!(report.to_string().contains("error[fsck]"), "{case}: loud");
+                    } else {
+                        assert!(report.clean() && path.exists(), "{case}: left for its loader");
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     /// A store entry renamed to another key must be caught even though

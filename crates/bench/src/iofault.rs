@@ -4,8 +4,8 @@
 //! injecting faults into its own state machine. This module is the
 //! environment-side analogue: a thin seam over the filesystem primitives
 //! every durability-critical write path uses (`create`, `write`,
-//! `fsync`, `rename`), with a [`FailPlan`] that makes chosen operations
-//! fail the way real storage fails — `ENOSPC`, `EIO`, a short/torn
+//! `fsync`, `rename`, `truncate`), with a [`FailPlan`] that makes chosen
+//! operations fail the way real storage fails — `ENOSPC`, `EIO`, a short/torn
 //! write that leaves a prefix on disk, an fsync that returns an error
 //! after the data was buffered, or a hard crash (`abort`, the in-process
 //! equivalent of `kill -9`) at an exact operation index.
@@ -14,9 +14,10 @@
 //!
 //! All fault-eligible paths call the wrappers here instead of `std::fs`
 //! directly: [`crate::checkpoint::write_atomic`] (and through it the
-//! result store, manifests, and rendered CSVs), the checkpoint
-//! [`Journal`](crate::checkpoint::Journal), the service's write-ahead
-//! job journal, and the telemetry JSONL sink. Each wrapper asks
+//! result store, manifests, and rendered CSVs) and the
+//! [`journal`](crate::journal) appender behind the checkpoint, the job
+//! WAL, and telemetry — whose rollback of a failed append and cut of a
+//! torn tail are both a [`truncate`]. Each wrapper asks
 //! [`tick`] whether the *armed plan* — if any — injects a fault at the
 //! current operation index; when nothing is armed the wrappers are a
 //! single relaxed atomic load away from plain `std::fs` calls.
@@ -41,7 +42,7 @@
 //! same calls.
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -322,6 +323,22 @@ pub fn rename(from: &Path, to: &Path) -> std::io::Result<()> {
         return Err(fault.error());
     }
     std::fs::rename(from, to)
+}
+
+/// Truncates `file` to `len` bytes and seeks there (a file from
+/// [`create`] has no `O_APPEND`, so a bare `set_len` would leave the next
+/// write past a hole of NULs). A truncation cannot be torn, so
+/// [`FaultClass::TornWrite`] degrades to a plain failure.
+///
+/// # Errors
+///
+/// The injected fault, or the real `set_len`/seek error.
+pub fn truncate(file: &mut File, len: u64) -> std::io::Result<()> {
+    if let Some(fault) = tick() {
+        return Err(fault.error());
+    }
+    file.set_len(len)?;
+    file.seek(SeekFrom::Start(len)).map(drop)
 }
 
 #[cfg(test)]

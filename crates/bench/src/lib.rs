@@ -42,6 +42,7 @@ pub mod explore;
 pub mod fault;
 pub mod fsck;
 pub mod iofault;
+pub mod journal;
 pub mod json;
 pub mod manifest;
 pub mod metrics_check;

@@ -31,7 +31,10 @@
 //!   backoff; deterministic failures are never retried.
 //! - **Quarantine** — once a job fails deterministically, later cells with
 //!   the *same* `(benchmark, config)` fail fast with the recorded error
-//!   instead of re-running a known-bad input.
+//!   instead of re-running a known-bad input. A worker that draws a job
+//!   identical to one still in flight waits for that cell to settle, so
+//!   every duplicate of a failing job is quarantined, however the
+//!   workers race.
 //! - **Checkpoint/resume** — [`run_sweep_ft`] journals each completed cell
 //!   (see [`crate::checkpoint`]) so a killed sweep resumes where it died.
 //!
@@ -48,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ce_sim::{
@@ -198,8 +201,6 @@ pub struct RunPolicy {
     pub max_attempts: u32,
     /// Sleep before retry `k` is `backoff_base × 2^(k−1)`.
     pub backoff_base: Duration,
-    /// Fail duplicate jobs fast once one instance failed deterministically.
-    pub quarantine: bool,
 }
 
 impl Default for RunPolicy {
@@ -208,7 +209,6 @@ impl Default for RunPolicy {
             cell_timeout: None,
             max_attempts: 3,
             backoff_base: Duration::from_millis(50),
-            quarantine: true,
         }
     }
 }
@@ -582,7 +582,7 @@ struct CellOutcome {
     quarantined_after: Option<usize>,
 }
 
-/// The parallel executor behind every public entry point: fans `jobs`
+/// The parallel executor behind [`run_sweep_ft`]: fans `jobs`
 /// across named worker threads, skipping cells where `skip[i]` (already
 /// recovered from a checkpoint), quarantining known-bad jobs, and calling
 /// `on_done` (under no locks of its own) as each cell completes so the
@@ -605,13 +605,15 @@ where
     let order = schedule_order(jobs, max_insts);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Deterministic failures by job, for quarantine: job → (first failing
-    // cell, its error).
-    let quarantine: Mutex<HashMap<Job, (usize, RunError)>> = Mutex::new(HashMap::new());
+    // Quarantine by job: its deterministic failure (first failing cell,
+    // error), or `None` while an instance is in flight; `settled` wakes
+    // the workers waiting on an in-flight duplicate.
+    let quarantine: Mutex<HashMap<Job, Option<(usize, RunError)>>> = Mutex::default();
+    let settled = Condvar::new();
 
     std::thread::scope(|scope| {
-        let (next, order, slots, quarantine, on_done) =
-            (&next, &order, &slots, &quarantine, &on_done);
+        let (next, order, slots, quarantine, settled, on_done) =
+            (&next, &order, &slots, &quarantine, &settled, &on_done);
         for w in 0..workers {
             std::thread::Builder::new()
                 .name(format!("ce-cell-{w}"))
@@ -626,11 +628,14 @@ where
                     }
                     let (bench, mut cfg) = jobs[i];
                     cfg.attribution |= run.attribution;
-                    let known_bad = if policy.quarantine {
-                        quarantine.lock().expect("quarantine poisoned").get(&jobs[i]).cloned()
-                    } else {
-                        None
-                    };
+                    let known_bad = settled
+                        .wait_while(quarantine.lock().expect("quarantine poisoned"), |q| {
+                            matches!(q.get(&jobs[i]), Some(None))
+                        })
+                        .expect("quarantine poisoned")
+                        .entry(jobs[i])
+                        .or_insert(None) // claims the job unless it failed
+                        .clone();
                     let outcome = if let Some((first, error)) = known_bad {
                         if tel.enabled() {
                             tel.emit(Event::Quarantined { cell: i, worker: w, first });
@@ -644,15 +649,13 @@ where
                         let (result, attempts) = run_cell_with_retry(
                             i, w, (bench, cfg), max_insts, policy, run.sampled, tel,
                         );
-                        if let Err(e) = &result {
-                            if policy.quarantine && !e.is_transient() {
-                                quarantine
-                                    .lock()
-                                    .expect("quarantine poisoned")
-                                    .entry(jobs[i])
-                                    .or_insert((i, e.clone()));
-                            }
-                        }
+                        let mut q = quarantine.lock().expect("quarantine poisoned");
+                        match &result {
+                            Err(e) if !e.is_transient() => q.insert(jobs[i], Some((i, e.clone()))),
+                            _ => q.remove(&jobs[i]),
+                        };
+                        drop(q);
+                        settled.notify_all();
                         if let Ok(r) = &result {
                             on_done(i, r);
                         }
@@ -670,66 +673,12 @@ where
         .collect()
 }
 
-/// Runs every job at the [`crate::max_insts`] cap and returns the
-/// statistics in input order.
-pub fn run_all(jobs: &[Job]) -> Vec<SimStats> {
-    run_timed(jobs, crate::max_insts()).into_iter().map(|r| r.stats).collect()
-}
-
-/// Runs every job at an explicit instruction cap, returning per-cell wall
-/// times alongside the statistics, in input order.
+/// Runs a sweep with aggregate wall-clock accounting: the all-or-nothing
+/// convenience over [`run_sweep_ft`].
 ///
-/// # Panics
-///
-/// Panics on the first failed cell, naming it. Sweeps that probe risky
-/// configuration corners should use [`try_run_timed`] (keep the good
-/// cells) or [`run_sweep_ft`] (full failure reporting) instead.
-pub fn run_timed(jobs: &[Job], max_insts: u64) -> Vec<TimedResult> {
-    run_timed_with(jobs, max_insts, RunOptions::default())
-}
-
-/// [`run_timed`] with explicit [`RunOptions`] (e.g. stall attribution on
-/// every cell).
-///
-/// # Panics
-///
-/// Panics on the first failed cell, like [`run_timed`].
-pub fn run_timed_with(jobs: &[Job], max_insts: u64, opts: RunOptions) -> Vec<TimedResult> {
-    try_run_timed_with(jobs, max_insts, opts)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|e| panic!("job {i} ({}): {e}", jobs[i].0)))
-        .collect()
-}
-
-/// Like [`run_timed`], but a failed cell becomes a classified
-/// [`RunError`] instead of aborting the whole parallel run — including
-/// cells that *panic* (contained by `catch_unwind`, reported as
-/// [`RunError::CellPanic`]). Results stay in input order.
-pub fn try_run_timed(jobs: &[Job], max_insts: u64) -> Vec<Result<TimedResult, RunError>> {
-    try_run_timed_with(jobs, max_insts, RunOptions::default())
-}
-
-/// [`try_run_timed`] with explicit [`RunOptions`]. Runs under the default
-/// [`RunPolicy`] (no deadline, quarantine on).
-pub fn try_run_timed_with(
-    jobs: &[Job],
-    max_insts: u64,
-    opts: RunOptions,
-) -> Vec<Result<TimedResult, RunError>> {
-    let skip = vec![false; jobs.len()];
-    execute(jobs, max_insts, opts, &RunPolicy::default(), &skip, &Telemetry::default(), |_, _| {})
-        .into_iter()
-        .map(|o| o.expect("unskipped slot filled").result)
-        .collect()
-}
-
-/// Runs a sweep with aggregate wall-clock accounting.
-///
-/// This is the legacy all-or-nothing entry point: it runs under the
-/// default [`RunPolicy`] with no checkpointing and **panics on the first
-/// failed cell**, so on return every slot of `cells` is `Some`. New
-/// callers that want failures reported instead should use
+/// It runs under the default [`RunPolicy`] with no checkpointing and
+/// **panics on the first failed cell**, so on return every slot of
+/// `cells` is `Some`. Callers that want failures reported instead use
 /// [`run_sweep_ft`].
 ///
 /// # Panics
@@ -955,10 +904,12 @@ mod tests {
             (Benchmark::Li, bad),
             (Benchmark::Compress, machine::dependence_8way()),
         ];
-        let results = try_run_timed(&jobs, 2_000);
-        assert!(results[0].is_ok());
-        assert!(results[2].is_ok());
-        let err = results[1].as_ref().unwrap_err();
+        let summary = run_sweep_ft(&jobs, 2_000, &SweepOptions::default()).unwrap();
+        assert!(summary.cells[0].is_some());
+        assert!(summary.cells[2].is_some());
+        assert_eq!(summary.failures.len(), 1);
+        assert_eq!(summary.failures[0].index, 1);
+        let err = &summary.failures[0].error;
         assert!(matches!(err, RunError::ConfigInvalid(_)), "{err}");
         assert_eq!(err.category(), "config-invalid");
         assert!(!err.is_transient());
@@ -975,14 +926,14 @@ mod tests {
             (Benchmark::Compress, machine::baseline_8way()),
             (Benchmark::Compress, machine::clustered_fifos_8way()),
         ];
-        let plain = run_timed(&jobs, 5_000);
+        let plain = run_sweep(&jobs, 5_000, RunOptions::default());
         let summary =
             run_sweep(&jobs, 5_000, RunOptions { attribution: true, ..RunOptions::default() });
         assert_eq!(summary.cells.len(), jobs.len());
         assert!(summary.all_ok());
         assert_eq!(summary.resumed, 0);
         let mut total_cycles = 0;
-        for (i, (cell, base)) in summary.ok_cells().zip(&plain).enumerate() {
+        for (i, (cell, base)) in summary.ok_cells().zip(plain.ok_cells()).enumerate() {
             assert_eq!(cell.stats.fingerprint(), base.stats.fingerprint(), "cell {i}");
             assert!(cell.stats.stall_breakdown.reconciles(
                 jobs[i].1.issue_width,
@@ -1015,8 +966,8 @@ mod tests {
         ];
         let sampling = SamplingConfig::default();
         let opts = RunOptions { sampled: Some(sampling), ..RunOptions::default() };
-        let results = try_run_timed_with(&jobs, 20_000, opts);
-        for (i, r) in results.iter().enumerate() {
+        let summary = run_sweep(&jobs, 20_000, opts);
+        for (i, r) in summary.cells.iter().enumerate() {
             let r = r.as_ref().expect("sampled cell runs");
             let trace = trace_cached(jobs[i].0, 20_000).unwrap();
             let direct = try_run_sampled(jobs[i].1, &trace, sampling).unwrap();
@@ -1029,8 +980,10 @@ mod tests {
             sampled: Some(SamplingConfig { window_insts: 0, ..SamplingConfig::default() }),
             ..RunOptions::default()
         };
-        let results = try_run_timed_with(&jobs[..1], 2_000, bad);
-        let err = results[0].as_ref().unwrap_err();
+        let summary =
+            run_sweep_ft(&jobs[..1], 2_000, &SweepOptions { run: bad, ..SweepOptions::default() })
+                .unwrap();
+        let err = &summary.failures[0].error;
         assert_eq!(err.category(), "config-invalid");
         assert!(err.to_string().contains("sampling"), "{err}");
     }
@@ -1043,12 +996,13 @@ mod tests {
             (Benchmark::Li, machine::baseline_8way()),
             (Benchmark::Compress, machine::dependence_8way()),
         ];
-        let parallel = run_timed(&jobs, 5_000);
-        assert_eq!(parallel.len(), jobs.len());
+        let parallel = run_sweep(&jobs, 5_000, RunOptions::default());
+        assert_eq!(parallel.cells.len(), jobs.len());
         for (i, (bench, cfg)) in jobs.iter().enumerate() {
             let trace = trace_cached(*bench, 5_000).unwrap();
             let serial = Simulator::new(*cfg).run(&trace);
-            assert_eq!(parallel[i].stats, serial, "job {i} out of order or nondeterministic");
+            let cell = parallel.cells[i].as_ref().expect("run_sweep fills every cell");
+            assert_eq!(cell.stats, serial, "job {i} out of order or nondeterministic");
         }
     }
 

@@ -21,12 +21,15 @@
 //!
 //! 1. **submitted** — appended (and fsynced) to the WAL *before* the
 //!    client sees `accepted`. A `kill -9` after this point cannot lose
-//!    the job.
+//!    the job. The WAL is a [`crate::journal`] file tagged `ce_jobs_wal`:
+//!    if the append or its fsync fails, the record is rolled back before
+//!    the client hears `error[io]`, so a refused job leaves nothing to
+//!    replay and its id goes to the next submission.
 //! 2. **running** — cells settle into two idempotent stores as they
-//!    finish: the per-job checkpoint journal (append + flush, torn final
-//!    line tolerated) and the content-addressed result store (atomic
-//!    tempfile + rename per cell). A `kill -9` mid-cell loses at most the
-//!    in-flight cells' partial work.
+//!    finish: the per-job checkpoint journal (one append per cell, a torn
+//!    final line dropped on resume) and the content-addressed result
+//!    store (atomic tempfile + rename per cell). A `kill -9` mid-cell
+//!    loses at most the in-flight cells' partial work.
 //! 3. **done** — artifacts written, `done` appended to the WAL.
 //!
 //! On startup the WAL is compacted: `submitted`-without-`done` jobs are
@@ -69,6 +72,7 @@ use ce_workloads::trace_cache_stats;
 
 use crate::api::{CellSource, JobEvent, JobOutcome, JobSpec};
 use crate::checkpoint::{write_atomic, CheckpointSpec};
+use crate::journal::{Appender, Format};
 use crate::json::Json;
 use crate::manifest::{self, cell_key_with};
 use crate::runner::{
@@ -142,11 +146,34 @@ pub struct WalJob {
     pub degraded: bool,
 }
 
-fn wal_header(next_id: u64) -> String {
-    format!("{{\"ce_jobs_wal\": 1, \"next\": {next_id}}}")
+/// The write-ahead job journal: tag `ce_jobs_wal`, one `submitted` or
+/// `done` record per line.
+pub(crate) const WAL: Format<WalRecord> = Format { tag: "ce_jobs_wal", decode: decode_wal };
+
+/// One WAL record: a job accepted, or the job with this id settled.
+pub(crate) enum WalRecord {
+    Submitted(WalJob),
+    Done(u64),
 }
 
-/// Parses WAL text into the jobs still pending (submitted without done)
+fn decode_wal(doc: Json) -> Option<WalRecord> {
+    let id = doc.at("job")?.as_u64()?;
+    match doc.at("state")?.as_str()? {
+        "submitted" => Some(WalRecord::Submitted(WalJob {
+            id,
+            spec: JobSpec::from_json(doc.at("spec")?).ok()?,
+            degraded: doc.at("degraded").and_then(Json::as_bool).unwrap_or(false),
+        })),
+        "done" => Some(WalRecord::Done(id)),
+        _ => None,
+    }
+}
+
+pub(crate) fn wal_header(next_id: u64) -> String {
+    WAL.header(&format!("\"next\": {next_id}"))
+}
+
+/// Parses WAL bytes into the jobs still pending (submitted without done)
 /// plus the next free job id.
 ///
 /// Ids must stay monotonic across daemon generations — compaction drops
@@ -154,102 +181,57 @@ fn wal_header(next_id: u64) -> String {
 /// reuse ids (and their artifact/telemetry paths). The mark lives in the
 /// header (`next`) and is raised past any id seen in the records.
 ///
-/// A torn **final** line — the signature of `kill -9` mid-append — is
-/// dropped silently; the fsync discipline means it can only be the last
-/// record. Corruption anywhere else is a real integrity failure and
-/// discards the whole journal (better to forget jobs loudly than to
-/// replay a mangled one).
+/// Under the journal module's torn-tail rule a damaged **final** line —
+/// the `kill -9` mid-append signature — is dropped silently, while damage
+/// anywhere else discards the whole journal (better to forget jobs loudly
+/// than to replay a mangled one).
 ///
 /// # Errors
 ///
 /// A message describing the corruption (caller warns and starts fresh).
-pub(crate) fn parse_wal(text: &str) -> Result<(Vec<WalJob>, u64), String> {
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() {
-        return Ok((Vec::new(), 1));
-    }
-    let last = lines.len() - 1;
-    let header = Json::parse(lines[0])
-        .ok()
-        .filter(|doc| doc.at("ce_jobs_wal").and_then(Json::as_u64) == Some(1));
-    let Some(header) = header else {
-        if last == 0 {
-            return Ok((Vec::new(), 1)); // torn header: an empty journal
-        }
-        return Err("bad WAL header".into());
-    };
-    let mut next_id = header.at("next").and_then(Json::as_u64).unwrap_or(1).max(1);
+pub(crate) fn parse_wal(bytes: &[u8]) -> Result<(Vec<WalJob>, u64), String> {
+    let parsed = WAL.parse(bytes)?;
+    let mut next_id = parsed.header.and_then(|h| h.at("next")?.as_u64()).unwrap_or(1).max(1);
     let mut pending: Vec<WalJob> = Vec::new();
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let parsed = Json::parse(line).ok().and_then(|doc| {
-            let id = doc.at("job").and_then(Json::as_u64)?;
-            match doc.at("state").and_then(Json::as_str)? {
-                "submitted" => {
-                    let spec = JobSpec::from_json(doc.at("spec")?).ok()?;
-                    let degraded =
-                        doc.at("degraded").and_then(Json::as_bool).unwrap_or(false);
-                    Some((id, Some((spec, degraded))))
-                }
-                "done" => Some((id, None)),
-                _ => None,
+    for record in parsed.records {
+        match record {
+            WalRecord::Submitted(job) => {
+                next_id = next_id.max(job.id + 1);
+                pending.push(job);
             }
-        });
-        match parsed {
-            Some((id, Some((spec, degraded)))) => {
-                next_id = next_id.max(id + 1);
-                pending.push(WalJob { id, spec, degraded });
-            }
-            Some((id, None)) => {
+            WalRecord::Done(id) => {
                 next_id = next_id.max(id + 1);
                 pending.retain(|j| j.id != id);
             }
-            None if i == last => break, // torn tail from kill -9
-            None => return Err(format!("corrupt WAL record on line {}", i + 1)),
         }
     }
     Ok((pending, next_id))
 }
 
-/// The write-ahead job journal.
-struct Wal {
-    file: std::fs::File,
-}
-
-impl Wal {
-    /// Opens the WAL, recovering pending jobs and the id high-water mark,
-    /// and compacting the file (header + one `submitted` record per
-    /// survivor) so replayed history never accretes.
-    fn open(path: &Path) -> std::io::Result<(Wal, Vec<WalJob>, u64)> {
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        let (pending, next_id) = parse_wal(&text).unwrap_or_else(|e| {
-            eprintln!("cesimd: warning: discarding job journal: {e}");
-            (Vec::new(), 1)
-        });
-        let mut compact = wal_header(next_id);
+/// Opens the WAL, recovering pending jobs and the id high-water mark,
+/// and compacting the file (header + one `submitted` record per
+/// survivor) so replayed history never accretes.
+fn open_wal(path: &Path) -> std::io::Result<(Appender, Vec<WalJob>, u64)> {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let (pending, next_id) = parse_wal(&bytes).unwrap_or_else(|e| {
+        eprintln!("cesimd: warning: discarding job journal: {e}");
+        (Vec::new(), 1)
+    });
+    let mut compact = wal_header(next_id);
+    compact.push('\n');
+    for job in &pending {
+        compact.push_str(&submitted_record(job.id, &job.spec, job.degraded));
         compact.push('\n');
-        for job in &pending {
-            compact.push_str(&submitted_record(job.id, &job.spec, job.degraded));
-            compact.push('\n');
-        }
-        write_atomic(path, &compact)?;
-        let file = crate::iofault::open_append(path)?;
-        Ok((Wal { file }, pending, next_id))
     }
-
-    fn append(&mut self, record: &str) -> std::io::Result<()> {
-        // One complete line per write through the fault seam, so an
-        // injected (or real) torn write leaves the recoverable
-        // torn-final-line shape, never a torn middle.
-        let line = format!("{record}\n");
-        crate::iofault::write_all(&mut self.file, line.as_bytes())?;
-        // The WAL is the durability boundary of the `submitted` state:
-        // fsync, not just flush, so `accepted` is never sent for a job a
-        // power cut could forget. One fsync per job, not per cell.
-        crate::iofault::sync(&self.file)
-    }
+    write_atomic(path, &compact)?;
+    // The WAL is the durability boundary of the `submitted` state: fsync
+    // every record, not just flush, so `accepted` is never sent for a job
+    // a power cut could forget. One fsync per job, not per cell.
+    let wal = Appender::resume(path, compact.len() as u64, true)?;
+    Ok((wal, pending, next_id))
 }
 
-fn submitted_record(id: u64, spec: &JobSpec, degraded: bool) -> String {
+pub(crate) fn submitted_record(id: u64, spec: &JobSpec, degraded: bool) -> String {
     format!(
         "{{\"job\": {id}, \"state\": \"submitted\", \"degraded\": {degraded}, \
          \"spec\": {}}}",
@@ -257,7 +239,7 @@ fn submitted_record(id: u64, spec: &JobSpec, degraded: bool) -> String {
     )
 }
 
-fn done_record(id: u64) -> String {
+pub(crate) fn done_record(id: u64) -> String {
     format!("{{\"job\": {id}, \"state\": \"done\"}}")
 }
 
@@ -304,7 +286,7 @@ struct Shared {
     work: Condvar,
     config: ServiceConfig,
     store: Arc<ResultStore>,
-    wal: Mutex<Wal>,
+    wal: Mutex<Appender>,
 }
 
 /// Runs the daemon until SIGTERM / `shutdown` (drains the queue first).
@@ -333,7 +315,7 @@ pub fn run(config: ServiceConfig) -> Result<(), String> {
         ResultStore::open(&config.state_dir.join("store"))
             .map_err(|e| format!("opening result store: {e}"))?,
     );
-    let (wal, recovered, next_id) = Wal::open(&config.state_dir.join("jobs.jsonl"))
+    let (wal, recovered, next_id) = open_wal(&config.state_dir.join("jobs.jsonl"))
         .map_err(|e| format!("opening job journal: {e}"))?;
     if !recovered.is_empty() && !config.quiet {
         eprintln!("cesimd: resuming {} interrupted job(s)", recovered.len());
@@ -620,7 +602,7 @@ fn handle_submit(stream: &mut UnixStream, shared: &Shared, doc: &Json) {
             .wal
             .lock()
             .expect("wal")
-            .append(&submitted_record(id, &spec, degraded))
+            .append(submitted_record(id, &spec, degraded))
         {
             return fail(stream, "io", format!("job journal: {e}"));
         }
@@ -658,7 +640,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
         Ok(plan) => plan,
         Err(e) => {
             send(JobEvent::Error { kind: "config-invalid".into(), message: e });
-            let _ = shared.wal.lock().expect("wal").append(&done_record(job.id));
+            let _ = shared.wal.lock().expect("wal").append(done_record(job.id));
             return;
         }
     };
@@ -697,7 +679,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             Ok(key) => key,
             Err(e) => {
                 send(JobEvent::Error { kind: "io".into(), message: format!("cell {i}: {e}") });
-                let _ = shared.wal.lock().expect("wal").append(&done_record(job.id));
+                let _ = shared.wal.lock().expect("wal").append(done_record(job.id));
                 return;
             }
         };
@@ -804,7 +786,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
         }
     }
 
-    if let Err(e) = shared.wal.lock().expect("wal").append(&done_record(job.id)) {
+    if let Err(e) = shared.wal.lock().expect("wal").append(done_record(job.id)) {
         let mut slot = io_error.lock().expect("io error slot");
         slot.get_or_insert_with(|| format!("job journal: {e}"));
     }
@@ -829,6 +811,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
 mod tests {
     use super::*;
     use crate::api::{SweepKind, SweepRequest};
+    use crate::iofault::{with_plan, FailPlan, FaultClass};
 
     /// The admission policy table: hard bound rejects unconditionally,
     /// the soft mark degrades only with opt-in, and below it everything
@@ -849,11 +832,11 @@ mod tests {
         JobSpec::preset(SweepKind::Fig13)
     }
 
-    /// WAL parsing: done cancels submitted, a torn final line is dropped
-    /// (the kill -9 signature), mid-journal corruption discards all, and
-    /// the next-id high-water mark survives both records and the header.
+    /// WAL parsing: done cancels submitted, and the next-id high-water
+    /// mark survives both records and the header. (The torn-tail shapes
+    /// are in `fsck`'s loader agreement table.)
     #[test]
-    fn wal_parse_recovers_pending_and_tolerates_torn_tail() {
+    fn wal_parse_recovers_pending_and_the_id_mark() {
         let mut text = format!("{}\n", wal_header(1));
         text.push_str(&submitted_record(1, &spec(), false));
         text.push('\n');
@@ -861,8 +844,7 @@ mod tests {
         text.push('\n');
         text.push_str(&done_record(1));
         text.push('\n');
-        text.push_str("{\"job\": 3, \"state\": \"subm"); // torn by kill -9
-        let (pending, next_id) = parse_wal(&text).unwrap();
+        let (pending, next_id) = parse_wal(text.as_bytes()).unwrap();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, 2);
         assert!(pending[0].degraded);
@@ -874,19 +856,62 @@ mod tests {
 
         // A compacted journal carries the mark even with no records left:
         // ids never rewind across daemon generations.
-        let (pending, next_id) = parse_wal(&format!("{}\n", wal_header(9))).unwrap();
+        let (pending, next_id) = parse_wal(format!("{}\n", wal_header(9)).as_bytes()).unwrap();
         assert!(pending.is_empty());
         assert_eq!(next_id, 9);
+    }
 
-        let mut corrupt = format!("{}\n", wal_header(1));
-        corrupt.push_str("{\"job\": 1, \"state\": \"subm\n"); // torn NOT last
-        corrupt.push_str(&submitted_record(2, &spec(), false));
-        corrupt.push('\n');
-        assert!(parse_wal(&corrupt).is_err());
+    fn wal_path(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ce-wal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("jobs.jsonl")
+    }
 
-        assert!(parse_wal("").unwrap().0.is_empty());
-        assert!(parse_wal("{\"ce_jobs_w").unwrap().0.is_empty(), "torn header = empty");
-        assert!(parse_wal("{\"other\": 1}\n{\"job\": 1}\n").is_err(), "wrong header");
+    /// A torn `submitted` append is rolled back, so the retry that
+    /// `handle_submit` makes under the same id lands on a clean line: the
+    /// accepted job survives a restart, and so does the one before it.
+    #[test]
+    fn torn_wal_append_is_rolled_back_before_the_retry() {
+        let path = wal_path("torn");
+        let (mut wal, _, _) = open_wal(&path).unwrap();
+        wal.append(submitted_record(1, &spec(), false)).unwrap();
+        let (torn, _) = with_plan(FailPlan::one(0, FaultClass::TornWrite), || {
+            wal.append(submitted_record(2, &spec(), false))
+        });
+        assert!(torn.is_err(), "the client is refused");
+        wal.append(submitted_record(2, &spec(), false)).unwrap();
+        drop(wal);
+
+        let (_, pending, next_id) = open_wal(&path).unwrap();
+        assert_eq!(pending.iter().map(|j| j.id).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(next_id, 3);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A failed fsync refuses the job, and its record is rolled back: the
+    /// different spec accepted next under the same id is the only job a
+    /// restart replays.
+    #[test]
+    fn failed_wal_fsync_leaves_no_record_behind() {
+        let path = wal_path("fsync");
+        let (mut wal, _, next_id) = open_wal(&path).unwrap();
+        assert_eq!(next_id, 1);
+        // Op 0 is the append's write, op 1 its fsync.
+        let (refused, _) = with_plan(FailPlan::one(1, FaultClass::FailedFsync), || {
+            wal.append(submitted_record(1, &spec(), false))
+        });
+        assert!(refused.is_err(), "the client is refused");
+        let accepted = JobSpec::preset(SweepKind::Fig15);
+        wal.append(submitted_record(1, &accepted, true)).unwrap();
+        drop(wal);
+
+        let (_, pending, next_id) = open_wal(&path).unwrap();
+        assert_eq!(pending.len(), 1, "only the accepted job replays");
+        assert!(matches!(pending[0].spec.request, SweepRequest::Preset(SweepKind::Fig15)));
+        assert!(pending[0].degraded);
+        assert_eq!(next_id, 2);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     /// The nastier journal shapes: a torn header with intact records
@@ -901,14 +926,14 @@ mod tests {
         let mut text = String::from("{\"ce_jobs_w\n");
         text.push_str(&submitted_record(1, &spec(), false));
         text.push('\n');
-        assert!(parse_wal(&text).is_err());
+        assert!(parse_wal(text.as_bytes()).is_err());
 
         // The header mark outranks every record id (compaction wrote
         // it after handing out ids 1..100; the records just lag).
         let mut text = format!("{}\n", wal_header(100));
         text.push_str(&submitted_record(3, &spec(), true));
         text.push('\n');
-        let (pending, next_id) = parse_wal(&text).unwrap();
+        let (pending, next_id) = parse_wal(text.as_bytes()).unwrap();
         assert_eq!(pending.len(), 1);
         assert_eq!(next_id, 100, "the mark never rewinds");
 
@@ -925,7 +950,7 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let (result, ops) = crate::iofault::with_plan(
             crate::iofault::FailPlan::one(3, crate::iofault::FaultClass::Eio),
-            || Wal::open(&path),
+            || open_wal(&path),
         );
         assert!(result.is_err(), "the compaction failure must propagate");
         assert_eq!(ops, 4, "create, write, sync, then the faulted rename");
@@ -934,13 +959,13 @@ mod tests {
             text,
             "the original journal survives an interrupted compaction untouched"
         );
-        let (_, pending, next_id) = Wal::open(&path).unwrap();
+        let (_, pending, next_id) = open_wal(&path).unwrap();
         assert_eq!(pending.len(), 1);
         assert_eq!(next_id, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Wal::open compacts: done jobs disappear from the rewritten file,
+    /// open_wal compacts: done jobs disappear from the rewritten file,
     /// and appends after recovery land on a clean journal even when the
     /// previous instance died mid-append.
     #[test]
@@ -959,23 +984,23 @@ mod tests {
         text.push_str("{\"job\": 7, \"sta"); // torn tail
         std::fs::write(&path, &text).unwrap();
 
-        let (mut wal, pending, next_id) = Wal::open(&path).unwrap();
+        let (mut wal, pending, next_id) = open_wal(&path).unwrap();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, 6);
         assert_eq!(next_id, 7);
-        wal.append(&done_record(6)).unwrap();
-        wal.append(&submitted_record(7, &spec(), false)).unwrap();
+        wal.append(done_record(6)).unwrap();
+        wal.append(submitted_record(7, &spec(), false)).unwrap();
 
         // A second recovery sees exactly job 7 and keeps ids monotonic.
-        let (mut wal, pending, next_id) = Wal::open(&path).unwrap();
+        let (mut wal, pending, next_id) = open_wal(&path).unwrap();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, 7);
         assert_eq!(next_id, 8);
-        wal.append(&done_record(7)).unwrap();
+        wal.append(done_record(7)).unwrap();
 
         // Even after everything completes, a later generation never
         // hands out an id below the mark.
-        let (_, pending, next_id) = Wal::open(&path).unwrap();
+        let (_, pending, next_id) = open_wal(&path).unwrap();
         assert!(pending.is_empty());
         assert_eq!(next_id, 8);
         let _ = std::fs::remove_dir_all(&dir);

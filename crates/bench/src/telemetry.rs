@@ -12,10 +12,11 @@
 //!
 //! Three consumers share the one event stream, each optional:
 //!
-//! * **JSONL journal** — one event per line, appended and flushed as it
-//!   happens (the same torn-tail discipline as the checkpoint journal:
-//!   a `kill -9` loses at most the line in flight, and
-//!   [`HealthReport::from_journal`] tolerates exactly that). The
+//! * **JSONL journal** — a [`crate::journal`] file tagged `ce_telemetry`,
+//!   one event per line, appended as it happens. A `kill -9` loses at
+//!   most the line in flight, which [`HealthReport::from_journal`] drops
+//!   under the journal module's torn-tail rule; a failed append is rolled
+//!   back, so it costs that one event and never the ones after it. The
 //!   `sweephealth` binary aggregates these into a health report.
 //! * **Live progress line** — a single self-overwriting stderr line with
 //!   percent done and an ETA weighted by
@@ -33,7 +34,6 @@
 //! telemetry on or off (`tests/telemetry.rs` pins this).
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -42,10 +42,12 @@ use std::time::Instant;
 use ce_workloads::Benchmark;
 
 use crate::checkpoint::write_atomic;
+use crate::journal::{Appender, Format};
 use crate::json::Json;
 
-/// The telemetry journal's header tag (first line of the JSONL file).
-pub const TELEMETRY_VERSION: u64 = 1;
+/// The telemetry journal: tag `ce_telemetry`, one `(t_us, event)` per
+/// record.
+pub const FORMAT: Format<(u64, Json)> = Format { tag: "ce_telemetry", decode: decode_event };
 
 /// One structured engine event. Timestamps are added by the sink
 /// (microseconds since the [`Telemetry`] handle was created); every
@@ -181,6 +183,19 @@ impl Event {
     }
 }
 
+/// Every [`Event::name`]: the `ev` values a journal record may carry.
+const EVENT_NAMES: [&str; 11] = [
+    "sweep-begin", "cell-resumed", "attempt-start", "attempt-end", "backoff", "quarantined",
+    "checkpoint-write", "sweep-end", "cache-hit", "cache-miss", "trace-evicted",
+];
+
+/// Decodes one journal line: its timestamp and a known event name.
+fn decode_event(doc: Json) -> Option<(u64, Json)> {
+    let t_us = doc.at("t_us")?.as_u64()?;
+    let known = EVENT_NAMES.contains(&doc.at("ev")?.as_str()?);
+    known.then_some((t_us, doc))
+}
+
 /// Anything that consumes engine events. [`Telemetry`] is the canonical
 /// implementation (journal + progress + Chrome trace behind one handle);
 /// the trait exists so tests can capture events without touching the
@@ -227,7 +242,7 @@ impl std::fmt::Debug for Telemetry {
 struct Inner {
     name: String,
     epoch: Instant,
-    journal: Option<Mutex<File>>,
+    journal: Option<Mutex<Appender>>,
     chrome_out: Option<PathBuf>,
     recorder: Option<Mutex<Vec<(u64, Event)>>>,
     progress: Option<Mutex<Progress>>,
@@ -262,24 +277,16 @@ impl Telemetry {
         }
         let journal = match &config.journal {
             Some(path) => {
-                if let Some(dir) = path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir)?;
-                    }
-                }
                 // Through the I/O fault seam like every durability path:
                 // an injected fault here fails telemetry *creation*
                 // loudly (the caller asked for a journal it cannot have)
                 // while per-event append faults later are swallowed.
-                let mut w = crate::iofault::create(path)?;
-                let header = format!(
-                    "{{\"ce_telemetry\": {TELEMETRY_VERSION}, \"name\": \"{}\", \
-                     \"cells\": {}, \"max_insts\": {max_insts}}}\n",
+                let fields = format!(
+                    "\"name\": \"{}\", \"cells\": {}, \"max_insts\": {max_insts}",
                     config.name,
                     weights.len(),
                 );
-                crate::iofault::write_all(&mut w, header.as_bytes())?;
-                Some(Mutex::new(w))
+                Some(Mutex::new(Appender::create(path, &FORMAT.header(&fields), false)?))
             }
             None => None,
         };
@@ -326,13 +333,11 @@ impl Inner {
         let t_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         if let Some(journal) = &self.journal {
             // Telemetry I/O failures must never fail a sweep: swallow
-            // them (the journal simply ends early or loses one line,
-            // which every reader already tolerates). One complete line
-            // per write through the fault seam, so even an injected torn
-            // write leaves the recoverable torn-line shape.
-            if let Ok(mut w) = journal.lock() {
-                let line = format!("{}\n", event_json(t_us, &ev));
-                let _ = crate::iofault::write_all(&mut w, line.as_bytes());
+            // them. The appender rolls a failed line back, so the journal
+            // simply loses that one event (or, if the rollback fails too,
+            // ends early on a torn tail every reader drops).
+            if let Ok(mut log) = journal.lock() {
+                let _ = log.append(event_json(t_us, &ev));
             }
         }
         if let Some(recorder) = &self.recorder {
@@ -651,52 +656,37 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Parses a telemetry journal. A torn final line (the `kill -9`
-    /// signature) is tolerated and dropped, exactly like the checkpoint
-    /// journal loader; corruption anywhere else is an error — a health
-    /// report from bytes we cannot trust would mislead.
+    /// Parses a telemetry journal under the journal module's torn-tail
+    /// rule: a damaged final line (the `kill -9` signature) is dropped,
+    /// an empty journal reports nothing, and damage anywhere else is an
+    /// error — a health report from bytes we cannot trust would mislead.
     ///
     /// # Errors
     ///
-    /// A message naming the malformed line.
+    /// A message naming the damaged line.
     pub fn from_journal(text: &str) -> Result<HealthReport, String> {
-        let mut lines = text.lines().enumerate().peekable();
-        let (_, header) = lines.next().ok_or("empty journal")?;
-        let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
-        if header.at("ce_telemetry").and_then(Json::as_u64) != Some(TELEMETRY_VERSION) {
-            return Err("not a ce_telemetry v1 journal".into());
-        }
+        let parsed = FORMAT.parse(text.as_bytes())?;
+        let header = parsed.header.as_ref();
+        let field = |key: &str| header.and_then(|h| h.at(key));
         let mut report = HealthReport {
-            name: header.at("name").and_then(Json::as_str).unwrap_or("?").to_owned(),
-            cells: header.at("cells").and_then(Json::as_u64).unwrap_or(0) as usize,
-            max_insts: header.at("max_insts").and_then(Json::as_u64).unwrap_or(0),
+            name: field("name").and_then(Json::as_str).unwrap_or("?").to_owned(),
+            cells: field("cells").and_then(Json::as_u64).unwrap_or(0) as usize,
+            max_insts: field("max_insts").and_then(Json::as_u64).unwrap_or(0),
             ..HealthReport::default()
         };
-        let mut last_t_us = 0;
-        while let Some((lineno, line)) = lines.next() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_event_line(line) {
-                Some((t_us, doc)) => {
-                    last_t_us = t_us;
-                    report.absorb(t_us, &doc)?;
-                }
-                None if lines.peek().is_none() => break, // torn final line
-                None => return Err(format!("line {}: malformed event", lineno + 1)),
-            }
+        for (t_us, doc) in &parsed.records {
+            report.absorb(*t_us, doc);
         }
         if !report.ended {
-            report.sweep_wall_us = last_t_us;
+            report.sweep_wall_us = parsed.records.last().map_or(0, |&(t_us, _)| t_us);
         }
         Ok(report)
     }
 
-    /// Folds one parsed event line into the running aggregates.
-    fn absorb(&mut self, t_us: u64, doc: &Json) -> Result<(), String> {
-        let ev = doc.at("ev").and_then(Json::as_str).ok_or("event without `ev`")?;
+    /// Folds one decoded event line into the running aggregates.
+    fn absorb(&mut self, t_us: u64, doc: &Json) {
         let num = |key: &str| doc.at(key).and_then(Json::as_u64);
-        match ev {
+        match doc.at("ev").and_then(Json::as_str).unwrap_or_default() {
             "sweep-begin" => {
                 self.threads = num("threads").unwrap_or(0) as usize;
             }
@@ -706,7 +696,6 @@ impl HealthReport {
                 self.completed += 1;
                 self.cell_walls_us.push((cell, num("wall_us").unwrap_or(0)));
             }
-            "attempt-start" => {}
             "attempt-end" => {
                 let worker = num("worker").unwrap_or(0) as usize;
                 let wall_us = num("wall_us").unwrap_or(0);
@@ -740,9 +729,9 @@ impl HealthReport {
             "cache-hit" => self.cache_hits += 1,
             "cache-miss" => self.cache_misses += 1,
             "trace-evicted" => self.trace_evictions += num("count").unwrap_or(0),
-            other => return Err(format!("unknown event `{other}`")),
+            // `attempt-start` adds nothing; decode_event admits no other name.
+            _ => {}
         }
-        Ok(())
     }
 
     /// Completed cells per wall-clock second.
@@ -853,15 +842,6 @@ impl HealthReport {
         }
         out
     }
-}
-
-/// Parses one journal event line into `(t_us, doc)`; `None` when torn or
-/// malformed.
-fn parse_event_line(line: &str) -> Option<(u64, Json)> {
-    let doc = Json::parse(line).ok()?;
-    let t_us = doc.at("t_us")?.as_u64()?;
-    doc.at("ev")?.as_str()?;
-    Some((t_us, doc))
 }
 
 #[cfg(test)]
@@ -987,23 +967,33 @@ mod tests {
         assert!(!rendered.contains("trace cache"), "{rendered}");
     }
 
-    /// The journal reader shares the checkpoint loader's semantics: a torn
-    /// final line is dropped, corruption anywhere else is an error.
+    /// A torn event is rolled back on the live handle, so the events
+    /// emitted after it still land on clean lines and count. (The
+    /// torn-tail shapes themselves are in `fsck`'s loader agreement
+    /// table.)
     #[test]
-    fn torn_final_line_tolerated_corruption_elsewhere_rejected() {
-        let full = journal_of(&sample_events());
-        let torn = &full[..full.len() - 15];
-        let report = HealthReport::from_journal(torn).unwrap();
-        assert!(!report.ended, "the sweep-end line was the torn one");
-        assert_eq!(report.completed, 2);
-
-        let mut lines: Vec<&str> = full.lines().collect();
-        lines[3] = "{\"t_us\": oops";
-        let corrupt = lines.join("\n") + "\n";
-        assert!(HealthReport::from_journal(&corrupt).is_err());
-
-        assert!(HealthReport::from_journal("").is_err());
-        assert!(HealthReport::from_journal("{\"other\": 1}\n").is_err());
+    fn torn_event_append_is_rolled_back() {
+        use crate::iofault::{with_plan, FailPlan, FaultClass};
+        let dir = std::env::temp_dir().join(format!("ce-tel-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.tel.jsonl");
+        let config = TelemetryConfig {
+            name: "t".into(),
+            journal: Some(path.clone()),
+            chrome_out: None,
+            progress: false,
+        };
+        let tel = Telemetry::create(&config, vec![1, 2, 3], 500).unwrap();
+        tel.emit(Event::CacheHit { cell: 0 });
+        let ((), _) = with_plan(FailPlan::one(0, FaultClass::TornWrite), || {
+            tel.emit(Event::CacheHit { cell: 1 });
+        });
+        tel.emit(Event::CacheHit { cell: 2 });
+        tel.emit(Event::CacheMiss { cell: 1 });
+        let report =
+            HealthReport::from_journal(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!((report.cache_hits, report.cache_misses), (2, 1), "only the torn event is lost");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A journal without `sweep-end` (killed) still reports, timing the

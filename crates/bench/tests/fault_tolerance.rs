@@ -5,7 +5,7 @@
 //! re-executing only the unfinished cells.
 
 use ce_bench::checkpoint::CheckpointSpec;
-use ce_bench::runner::{self, try_run_timed, RunPolicy, SweepOptions};
+use ce_bench::runner::{self, RunPolicy, SweepOptions};
 use ce_sim::{machine, FaultKind, FaultSpec};
 use ce_workloads::Benchmark;
 use std::path::{Path, PathBuf};
@@ -32,10 +32,13 @@ fn panicking_cell_is_isolated_and_classified() {
         (Benchmark::Compress, bad),
         (Benchmark::Li, good),
     ];
-    let results = try_run_timed(&jobs, INSTS);
-    assert!(results[0].is_ok(), "{:?}", results[0]);
-    assert!(results[2].is_ok(), "{:?}", results[2]);
-    let err = results[1].as_ref().expect_err("panic cell must fail");
+    let summary = runner::run_sweep_ft(&jobs, INSTS, &SweepOptions::default()).expect("no journal");
+    assert!(summary.cells[0].is_some(), "{:?}", summary.failures);
+    assert!(summary.cells[2].is_some(), "{:?}", summary.failures);
+    assert_eq!(summary.failures.len(), 1, "only the panic cell fails");
+    let failure = &summary.failures[0];
+    assert_eq!(failure.index, 1);
+    let err = &failure.error;
     assert_eq!(err.category(), "cell-panic", "{err}");
     assert!(err.message().contains("fault"), "{err}");
 }
@@ -50,7 +53,6 @@ fn deadline_is_enforced_with_bounded_retries() {
             cell_timeout: Some(Duration::from_nanos(1)),
             max_attempts: 2,
             backoff_base: Duration::from_millis(1),
-            quarantine: true,
         },
         ..SweepOptions::default()
     };

@@ -12,8 +12,9 @@
 use std::path::PathBuf;
 
 use ce_bench::chaos::synthetic_result;
-use ce_bench::checkpoint::{classify_journal, write_atomic, CheckpointSpec, Journal, JournalClass};
+use ce_bench::checkpoint::{self, write_atomic, CheckpointSpec, Journal};
 use ce_bench::iofault::{with_plan, FailPlan, FaultClass};
+use ce_bench::journal::JournalClass;
 use ce_bench::store::{Lookup, ResultStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -93,12 +94,14 @@ fn eio_journal_append_keeps_prior_records_resumable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A torn write against a journal append: half the line lands on disk.
-/// The torn *final* line is the tolerated kill -9 signature — the
-/// classifier calls it torn-tail, and a resume silently drops it while
-/// keeping every complete record.
+/// A torn write against a journal append: the appender rolls the half
+/// line back on the spot, so the file stays valid and the next append on
+/// the same handle survives a resume. A torn tail left on disk by a
+/// process that died mid-append is the tolerated kill -9 signature: the
+/// classifier calls it torn-tail, and a resume drops it while keeping
+/// every complete record.
 #[test]
-fn torn_journal_append_leaves_recoverable_torn_tail() {
+fn torn_journal_append_is_rolled_back() {
     let dir = temp_dir("torn");
     let spec = CheckpointSpec::for_output(&dir.join("sweep.csv"), true);
     let id = 0xF00D;
@@ -109,12 +112,21 @@ fn torn_journal_append_leaves_recoverable_torn_tail() {
         journal.record(1, &synthetic_result(1))
     });
     assert!(outcome.is_err(), "a torn write reports the short write as an error");
+    let bytes = std::fs::read(&spec.path).unwrap();
+    assert!(bytes.ends_with(b"\n"), "the torn half-line was rolled back");
+    assert_eq!(checkpoint::FORMAT.classify(&bytes), JournalClass::Valid);
+    journal.record(1, &synthetic_result(1)).unwrap();
     drop(journal);
+    let (_, recovered) = Journal::open(&spec, id, 2).unwrap();
+    assert!(recovered.iter().all(Option::is_some), "the retried record survives");
 
-    let text = std::fs::read_to_string(&spec.path).unwrap();
-    assert!(!text.ends_with('\n'), "the torn half-line is on disk");
-    assert_eq!(classify_journal(&text), JournalClass::TornTail);
-
+    // The kill -9 shape, written directly: record 1 cut short on disk.
+    let complete = std::fs::read(&spec.path).unwrap();
+    std::fs::write(&spec.path, &complete[..complete.len() - 20]).unwrap();
+    assert_eq!(
+        checkpoint::FORMAT.classify(&std::fs::read(&spec.path).unwrap()),
+        JournalClass::TornTail
+    );
     let (mut journal, recovered) = Journal::open(&spec, id, 2).unwrap();
     assert!(recovered[0].is_some(), "the complete record survives the torn tail");
     assert!(recovered[1].is_none(), "the torn record is dropped, not half-parsed");
@@ -122,6 +134,65 @@ fn torn_journal_append_leaves_recoverable_torn_tail() {
     drop(journal);
     let (_, recovered) = Journal::open(&spec, id, 2).unwrap();
     assert!(recovered.iter().all(Option::is_some));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Which cells a resume of a four-cell journal recovers.
+fn resumed_cells(spec: &CheckpointSpec, id: u64) -> Vec<bool> {
+    let (_, recovered) = Journal::open(spec, id, 4).unwrap();
+    recovered.iter().map(Option::is_some).collect()
+}
+
+/// A torn record no longer swallows the records appended after it on
+/// the same handle: the rollback puts them on clean lines, and a resume
+/// recovers every record but the torn one.
+#[test]
+fn torn_record_keeps_later_records_resumable() {
+    let dir = temp_dir("torn-later");
+    let spec = CheckpointSpec::for_output(&dir.join("sweep.csv"), true);
+    let id = 0xACE;
+
+    let (mut journal, _) = Journal::open(&spec, id, 4).unwrap();
+    journal.record(0, &synthetic_result(0)).unwrap();
+    let (torn, _) = with_plan(FailPlan::one(0, FaultClass::TornWrite), || {
+        journal.record(1, &synthetic_result(1))
+    });
+    assert!(torn.is_err());
+    journal.record(2, &synthetic_result(2)).unwrap();
+    journal.record(3, &synthetic_result(3)).unwrap();
+    drop(journal);
+
+    assert_eq!(resumed_cells(&spec, id), [true, false, true, true]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When the rollback of a failed append fails too, the handle refuses
+/// every later append without writing a byte, and a resume still
+/// recovers every record written before the fault.
+#[test]
+fn failed_rollback_refuses_later_appends() {
+    let dir = temp_dir("rollback");
+    let spec = CheckpointSpec::for_output(&dir.join("sweep.csv"), true);
+    let id = 0xD1E;
+
+    let (mut journal, _) = Journal::open(&spec, id, 4).unwrap();
+    journal.record(0, &synthetic_result(0)).unwrap();
+    // Op 0 is the torn write, op 1 the rollback's truncation.
+    let plan = FailPlan { faults: vec![(0, FaultClass::TornWrite), (1, FaultClass::Eio)] };
+    let (outcome, ops) = with_plan(plan, || journal.record(1, &synthetic_result(1)));
+    assert!(outcome.is_err());
+    assert_eq!(ops, 2, "the write, then the failed rollback");
+    let torn = std::fs::read(&spec.path).unwrap();
+
+    let (later, ops) = with_plan(FailPlan::default(), || {
+        [journal.record(2, &synthetic_result(2)), journal.record(3, &synthetic_result(3))]
+    });
+    assert!(later.iter().all(Result::is_err), "the handle refuses appends");
+    assert_eq!(ops, 0, "a refused append touches nothing");
+    assert_eq!(std::fs::read(&spec.path).unwrap(), torn, "nothing written after the fault");
+    drop(journal);
+
+    assert_eq!(resumed_cells(&spec, id), [true, false, false, false]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

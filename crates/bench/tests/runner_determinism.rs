@@ -2,11 +2,17 @@
 //! loops it superseded: same cells, same order, byte-identical
 //! statistics — regardless of worker count or scheduling.
 
-use ce_bench::runner;
+use ce_bench::runner::{self, RunOptions, TimedResult};
 use ce_sim::{machine, Simulator};
 use ce_workloads::{trace_cached, Benchmark};
 
 const CAP: u64 = 50_000;
+
+/// Every cell of a sweep, input order (`run_sweep` panics on a failed
+/// cell, so every slot is filled).
+fn run(jobs: &[runner::Job], cap: u64) -> Vec<TimedResult> {
+    runner::run_sweep(jobs, cap, RunOptions::default()).cells.into_iter().flatten().collect()
+}
 
 /// The full Figure 17 grid through the pool equals a plain serial loop,
 /// cell for cell (fingerprints serialize every counter, so equality here
@@ -15,7 +21,7 @@ const CAP: u64 = 50_000;
 fn parallel_grid_matches_serial_loop_exactly() {
     let machines = machine::figure17_machines();
     let jobs = runner::grid(&machines);
-    let parallel = runner::run_timed(&jobs, CAP);
+    let parallel = run(&jobs, CAP);
     assert_eq!(parallel.len(), jobs.len());
 
     let mut serial = Vec::with_capacity(jobs.len());
@@ -47,8 +53,8 @@ fn repeated_runs_are_identical() {
         (Benchmark::Li, machine::clustered_windows_dispatch_8way()),
         (Benchmark::Li, machine::baseline_8way()),
     ];
-    let a = runner::run_timed(&jobs, 20_000);
-    let b = runner::run_timed(&jobs, 20_000);
+    let a = run(&jobs, 20_000);
+    let b = run(&jobs, 20_000);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x.stats, y.stats, "cell {i} not reproducible");
     }

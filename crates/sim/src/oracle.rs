@@ -4,10 +4,10 @@
 //! The optimized pipeline earns its speed from redundant data structures:
 //! a completion event heap instead of ROB scans, a dense `HotEntry` ring
 //! instead of ROB reads on the wakeup path, a `StoreTracker` instead of
-//! window scans for memory ordering, a placement ring, bitset window
-//! occupancy, an intrusive age list, and a k-way FIFO merge. Every one of
-//! those is a place where the model can silently diverge from the
-//! architecture it claims to implement.
+//! window scans for memory ordering, a placement ring, and resident/awake
+//! bits scanned from the ROB head's position to yield issue candidates
+//! oldest first. Every one of those is a place where the model can
+//! silently diverge from the architecture it claims to implement.
 //!
 //! This module implements the *same architectural contract* — the same
 //! [`SimConfig`] in, the same [`SimStats`] fingerprint out, for all five
@@ -18,7 +18,7 @@
 //! * the complete phase is a full linear scan for `finish_at == cycle`
 //!   (no event heap);
 //! * issue candidates are collected into a fresh `Vec` every cycle and
-//!   explicitly sorted for oldest-first selection (no age list, no merge);
+//!   explicitly sorted for oldest-first selection (no bit scan);
 //! * memory-ordering and forwarding predicates scan the ROB's stores
 //!   directly (no `StoreTracker`);
 //! * operand fields are read from the ROB entry itself (no hot ring).
@@ -597,7 +597,7 @@ impl OracleSimulator {
     fn issue_cycle(&mut self, cycle: u64, rob: &mut [Entry]) {
         // A fresh candidate vector every cycle, explicitly sorted when the
         // policy wants age order — the per-cycle sort the optimized
-        // scheduler's age list and k-way merge exist to avoid.
+        // scheduler's oldest-first bit scan exists to avoid.
         let mut candidates = self.window.candidates();
         match self.cfg.selection {
             crate::config::SelectionPolicy::OldestFirst => {
