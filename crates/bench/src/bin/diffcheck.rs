@@ -1,18 +1,23 @@
 //! `diffcheck` — differential acceptance harness.
 //!
-//! Runs every Figure 17 organization on every benchmark kernel twice: once
+//! Runs every organization of a grid on every benchmark kernel twice: once
 //! through the optimized [`Simulator`] with its per-cycle invariant
 //! checker enabled, once through the deliberately naive
 //! [`OracleSimulator`], and demands *bit-identical* statistics
 //! fingerprints. One `PASS`/`FAIL` line per cell; exits non-zero if any
 //! cell fails, so CI can gate on it.
 //!
+//! The grid is the five Figure 17 organizations by default, or every
+//! organization the explorer simulates: the tiny grid's 6 or the full
+//! grid's 392.
+//!
 //! ```text
-//! diffcheck [KERNEL...]        # restrict to the named kernels
+//! diffcheck [--grid fig17|explore-tiny|explore] [KERNEL...]
 //! CE_MAX_INSTS=20000 diffcheck # shorten the smoke run
 //! CE_THREADS=4 diffcheck       # bound the worker pool
 //! ```
 
+use ce_bench::explore::{simulated_points, GridScale};
 use ce_bench::runner;
 use ce_sim::{machine, OracleSimulator, SimConfig, Simulator};
 use ce_workloads::{trace_cached, Benchmark};
@@ -21,9 +26,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 struct Cell {
-    machine: &'static str,
+    machine: String,
     bench: Benchmark,
     cfg: SimConfig,
+}
+
+/// The organizations `--grid` names, with their labels.
+fn organizations(grid: &str) -> Option<Vec<(String, SimConfig)>> {
+    let explorer = |scale| {
+        simulated_points(scale).into_iter().map(|p| (p.label, p.cfg)).collect()
+    };
+    match grid {
+        "fig17" => Some(
+            machine::figure17_machines().into_iter().map(|(m, cfg)| (m.to_owned(), cfg)).collect(),
+        ),
+        "explore-tiny" => Some(explorer(GridScale::Tiny)),
+        "explore" => Some(explorer(GridScale::Full)),
+        _ => None,
+    }
 }
 
 enum Outcome {
@@ -55,7 +75,24 @@ fn check_cell(cell: &Cell, cap: u64) -> Outcome {
 }
 
 fn main() -> ExitCode {
-    let filter: Vec<String> = std::env::args().skip(1).collect();
+    let mut grid = String::from("fig17");
+    let mut filter: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--grid" {
+            let Some(value) = args.next() else {
+                eprintln!("error: --grid needs a value (fig17, explore-tiny or explore)");
+                return ExitCode::FAILURE;
+            };
+            grid = value;
+        } else {
+            filter.push(arg);
+        }
+    }
+    let Some(orgs) = organizations(&grid) else {
+        eprintln!("error: unknown grid `{grid}` (expected fig17, explore-tiny or explore)");
+        return ExitCode::FAILURE;
+    };
     let benchmarks: Vec<Benchmark> = Benchmark::all()
         .into_iter()
         .filter(|b| filter.is_empty() || filter.iter().any(|f| f == b.name()))
@@ -70,16 +107,16 @@ fn main() -> ExitCode {
     }
 
     let cap = ce_bench::max_insts();
-    let cells: Vec<Cell> = machine::figure17_machines()
+    let n_orgs = orgs.len();
+    let cells: Vec<Cell> = orgs
         .into_iter()
         .flat_map(|(machine, cfg)| {
-            benchmarks.iter().map(move |&bench| Cell { machine, bench, cfg })
+            benchmarks.iter().map(move |&bench| Cell { machine: machine.clone(), bench, cfg })
         })
         .collect();
     println!(
         "diffcheck: optimized simulator (invariant checker on) vs naive oracle, \
-         {} organizations x {} kernels, {cap} instruction cap",
-        machine::figure17_machines().len(),
+         {grid} grid, {n_orgs} organizations x {} kernels, {cap} instruction cap",
         benchmarks.len(),
     );
 

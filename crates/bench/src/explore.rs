@@ -390,19 +390,23 @@ fn simulated_indices(points: &[DesignPoint]) -> Vec<usize> {
         .collect()
 }
 
+/// The grid points [`explore`] simulates, in sweep order: every point
+/// except the structured skips. `diffcheck --grid` checks exactly these
+/// against the oracle.
+pub fn simulated_points(scale: GridScale) -> Vec<DesignPoint> {
+    let points = grid(scale);
+    simulated_indices(&points).into_iter().map(|i| points[i].clone()).collect()
+}
+
 /// The exact sweep jobs [`explore`] will run for this grid scale, in
 /// sweep order: every (simulatable point × kernel) cell. Exposed so the
 /// `ce-explore` binary can build telemetry ETA weights and the manifest
 /// cache key from the same job list the explorer uses.
 pub fn explore_jobs(scale: GridScale) -> Vec<Job> {
-    let points = grid(scale);
     let benches = Benchmark::all();
-    simulated_indices(&points)
+    simulated_points(scale)
         .into_iter()
-        .flat_map(|i| {
-            let cfg = points[i].cfg;
-            benches.iter().map(move |&b| (b, cfg))
-        })
+        .flat_map(|p| benches.iter().map(move |&b| (b, p.cfg)))
         .collect()
 }
 

@@ -93,6 +93,9 @@ pub struct FifoPool {
     len: usize,
     /// Buffered instructions per cluster (incremental).
     cluster_len: Vec<usize>,
+    /// The cluster of each FIFO, precomputed: the issue stage asks once per
+    /// candidate, and this saves it two integer divisions.
+    cluster: Vec<usize>,
 }
 
 impl FifoPool {
@@ -105,10 +108,12 @@ impl FifoPool {
         if let Err(msg) = config.validate() {
             panic!("invalid FIFO pool configuration: {msg}");
         }
+        let cluster: Vec<usize> =
+            (0..config.fifos).map(|f| f / config.fifos_per_cluster()).collect();
         let mut free = vec![Vec::new(); config.clusters];
         // Reverse order so acquire() hands out low-numbered FIFOs first.
         for f in (0..config.fifos).rev() {
-            free[f / config.fifos_per_cluster()].push(FifoId(f));
+            free[cluster[f]].push(FifoId(f));
         }
         FifoPool {
             config,
@@ -118,6 +123,7 @@ impl FifoPool {
             occupied: 0,
             len: 0,
             cluster_len: vec![0; config.clusters],
+            cluster,
         }
     }
 
@@ -128,7 +134,7 @@ impl FifoPool {
 
     /// The cluster a FIFO belongs to.
     pub fn cluster_of(&self, fifo: FifoId) -> usize {
-        fifo.0 / self.config.fifos_per_cluster()
+        self.cluster[fifo.0]
     }
 
     /// Acquires a free FIFO using the two-free-list policy; `None` when no
@@ -163,6 +169,9 @@ impl FifoPool {
     /// steering) use this before pushing into an empty FIFO of their own
     /// choosing.
     pub fn claim(&mut self, fifo: FifoId) {
+        if self.occupied & (1u128 << fifo.0) != 0 {
+            return; // an occupied FIFO is never on a free list
+        }
         let cluster = self.cluster_of(fifo);
         self.free[cluster].retain(|&f| f != fifo);
     }
@@ -232,13 +241,6 @@ impl FifoPool {
             }
             None => false,
         }
-    }
-
-    /// Whether `inst` currently sits anywhere in `fifo` — an O(depth) probe
-    /// of one queue, replacing full-pool scans in the steering heuristics'
-    /// staleness checks.
-    pub fn contains(&self, fifo: FifoId, inst: InstId) -> bool {
-        self.queues[fifo.0].iter().any(|&i| i == inst)
     }
 
     /// The position of `inst` within `fifo` (0 = head), if present —

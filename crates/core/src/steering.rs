@@ -127,16 +127,14 @@ impl DependenceSteerer {
         let mut target: Option<(FifoId, usize)> = None;
         let mut chain_full = false;
         for (operand, producer) in candidates.into_iter().enumerate() {
+            // A producer still at its FIFO's tail (nothing behind it) makes
+            // the FIFO suitable iff it has room.
             let Some(producer) = producer else { continue };
-            // Suitable iff the producer is still the FIFO tail (nothing
-            // behind it) and the FIFO has room.
-            if pool.tail(producer.fifo) == Some(producer.inst) {
-                if !pool.is_fifo_full(producer.fifo) {
-                    target = Some((producer.fifo, operand));
-                    break;
-                }
-                chain_full = true;
+            if !pool.is_fifo_full(producer.fifo) {
+                target = Some((producer.fifo, operand));
+                break;
             }
+            chain_full = true;
         }
         // When no FIFO is suitable, prefer a fresh FIFO in the cluster of
         // the most recent producer of one of our operands (even one that
@@ -169,14 +167,15 @@ impl DependenceSteerer {
         (SteerOutcome::Fifo(fifo), SteerExplain::Placed(choice))
     }
 
-    /// Looks up the outstanding producer of a source register, validating
-    /// that it is still waiting in its FIFO.
+    /// Looks up the producer of a source register that is still the tail
+    /// of its FIFO — the only producer the heuristic chains behind.
     fn outstanding_producer(&self, src: Option<Reg>, pool: &FifoPool) -> Option<Producer> {
         let producer = self.src_fifo[src?.index()]?;
         // The entry may be stale: the producer may have issued already (the
         // table is "invalid" in the paper's terms once the value is
-        // computed). Validate against the producer's own FIFO contents.
-        pool.contains(producer.fifo, producer.inst).then_some(producer)
+        // computed). A tail is in its FIFO, so the tail check validates
+        // it without scanning the queue.
+        (pool.tail(producer.fifo) == Some(producer.inst)).then_some(producer)
     }
 
     /// Invalidates `SRC_FIFO` entries naming an instruction that has left

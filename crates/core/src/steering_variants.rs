@@ -86,9 +86,8 @@ impl LoadBalancedSteerer {
         let mut target = None;
         for src in [left, right].into_iter().flatten() {
             if let Some(p) = self.src_fifo[src.index()] {
-                let still_there = pool.contains(p.fifo, p.inst);
-                if still_there && pool.tail(p.fifo) == Some(p.inst) && !pool.is_fifo_full(p.fifo)
-                {
+                // A tail is in its FIFO, so this also rejects stale entries.
+                if pool.tail(p.fifo) == Some(p.inst) && !pool.is_fifo_full(p.fifo) {
                     target = Some(p.fifo);
                     break;
                 }
@@ -105,16 +104,13 @@ impl LoadBalancedSteerer {
         SteerOutcome::Fifo(fifo)
     }
 
+    /// A free FIFO from the least-occupied cluster (the lowest index on a
+    /// tie). `acquire_preferring` falls back to every other cluster's free
+    /// list, so when the emptiest cluster has no free FIFO one more
+    /// preference could not find another.
     fn emptiest_cluster_fifo(&self, pool: &mut FifoPool) -> Option<FifoId> {
-        let clusters = pool.config().clusters;
-        let mut order: Vec<usize> = (0..clusters).collect();
-        order.sort_by_key(|&c| pool.cluster_occupancy(c));
-        for cluster in order {
-            if let Some(f) = pool.acquire_preferring(Some(cluster)) {
-                return Some(f);
-            }
-        }
-        None
+        let emptiest = (0..pool.config().clusters).min_by_key(|&c| pool.cluster_occupancy(c));
+        pool.acquire_preferring(emptiest)
     }
 
     /// Clears the table (pipeline flush).

@@ -24,9 +24,11 @@
 //!   feasible leftover was feasible when scanned and should have issued).
 //!   The candidates come from the scheduler's full enumeration before the
 //!   pass, so an entry the pruned scan wrongly skipped is caught too;
-//! * **wakeup state** — for every organization that keeps it, each
-//!   resident entry's pending-operand count, readiness bound and awake
-//!   bit match a recomputation from the ROB and register state;
+//! * **wakeup state** — in the window organizations, each resident
+//!   entry's pending-operand count, readiness bound and awake bit match a
+//!   recomputation from the ROB and register state; in the head-only
+//!   FIFOs, the resident bits the ring scan reads are exactly the FIFO
+//!   heads and no awake bit is set;
 //! * **FIFO head-only issue** — in the dependence-based organizations an
 //!   issuing instruction is the head of its FIFO at selection time;
 //! * **store-to-load forwarding consistency** — the StoreTracker's

@@ -45,7 +45,11 @@ pub enum Access {
 #[derive(Debug, Clone)]
 pub struct Dcache {
     config: DcacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    /// One allocation, because a sampled run builds a cache per detailed
+    /// window only to replace it with the warmed one.
+    lines: Vec<Line>,
+    set_count: usize,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -71,7 +75,8 @@ impl Dcache {
         assert!(set_count.is_power_of_two(), "set count must be a power of two");
         Dcache {
             config,
-            sets: vec![vec![INVALID; config.ways]; set_count],
+            lines: vec![INVALID; lines],
+            set_count,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -86,19 +91,20 @@ impl Dcache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.set_count
     }
 
     fn split(&self, addr: u32) -> (usize, u32) {
         let line = addr as usize / self.config.line_bytes;
-        (line % self.sets.len(), (line / self.sets.len()) as u32)
+        (line % self.set_count, (line / self.set_count) as u32)
     }
 
     /// Performs a load or store access, updating LRU and dirty state.
     pub fn access(&mut self, addr: u32, is_store: bool) -> Access {
         self.clock += 1;
         let (set_idx, tag) = self.split(addr);
-        let set = &mut self.sets[set_idx];
+        let ways = self.config.ways;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.clock;

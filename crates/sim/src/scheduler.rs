@@ -11,11 +11,15 @@
 //! * `Fifos` — the dependence-based design; only FIFO heads are issue
 //!   candidates (Section 5).
 //!
-//! Both window organizations also keep resident and awake bits keyed by
-//! sequence number, so one bit scan from the ROB head
-//! (`Scheduler::next_candidate`) yields their candidates oldest first,
-//! whichever slot or FIFO holds them. The head-only FIFOs skip that
-//! bookkeeping: their heads are the whole candidate set.
+//! Every organization keeps resident bits keyed by sequence number, so one
+//! bit scan from the ROB head (`Scheduler::next_candidate`) yields its
+//! candidates oldest first, whichever slot or FIFO holds them. The windows
+//! mark every waiting instruction resident and also keep awake bits. The
+//! head-only FIFOs mark only their heads, the paper's §5 point that
+//! wakeup and select need look at nothing else, and keep no awake bits.
+//! A head uncovered by an issue joins the scan only when the issue pass
+//! ends ([`Scheduler::end_issue_pass`]), so a pass selects among the heads
+//! it started with.
 
 use crate::config::{SchedulerKind, SteeringPolicy};
 use ce_core::fifos::{FifoPool, PoolConfig};
@@ -77,19 +81,21 @@ pub struct Scheduler {
     /// `max_inflight`) — no hash lookups on the issue path.
     place: Vec<Option<u32>>,
     place_mask: u64,
-    /// Bit `seq & place_mask` set iff that instruction is resident, keyed
-    /// like `place`, so a bit scan from the ROB head's position visits
-    /// resident instructions oldest first. Kept by every organization
-    /// except the head-only FIFOs, whose heads are their whole candidate
-    /// set.
+    /// Bit `seq & place_mask` set iff that instruction is an issue
+    /// candidate, keyed like `place`, so a bit scan from the ROB head's
+    /// position visits candidates oldest first: every resident instruction
+    /// of a window, or the head of each head-only FIFO.
     resident: Vec<u64>,
     /// Bit `seq & place_mask` set iff the resident instruction is awake:
     /// all its source operands have been produced (the tag-match result
     /// of the paper's wakeup broadcast, cached as a bit). Set by the
     /// pipeline via [`set_awake`](Self::set_awake), only ever for a
     /// resident, and cleared as the instruction leaves, so it is always a
-    /// subset of `resident`.
+    /// subset of `resident`. Head-only FIFOs never set it.
     awake: Vec<u64>,
+    /// Head-only FIFOs whose head issued during the current pass; their
+    /// new heads become candidates at [`end_issue_pass`](Self::end_issue_pass).
+    uncovered: u128,
     /// Central-window slots: new instructions take the lowest free slot, so
     /// slot order models physical window position (no compaction).
     window: Vec<Option<InstId>>,
@@ -169,6 +175,7 @@ impl Scheduler {
             place_mask: ring as u64 - 1,
             resident: vec![0u64; ring.div_ceil(64)],
             awake: vec![0u64; ring.div_ceil(64)],
+            uncovered: 0,
             window: vec![None; central_capacity],
             occ_words,
             central_capacity,
@@ -252,10 +259,11 @@ impl Scheduler {
                 }
             }
         }?;
-        if !self.head_only() {
-            // Arrives asleep; the pipeline's wakeup bookkeeping wakes it.
-            let (w, bit) = self.ring_bit(id);
-            self.resident[w] |= bit;
+        // Arrives asleep; the pipeline's wakeup bookkeeping wakes it. A
+        // head-only FIFO's instruction is a candidate only as its head.
+        let head_of = |pool: &FifoPool| pool.head(FifoId(placed.slot as usize));
+        if !self.head_only() || self.pool.as_ref().and_then(head_of) == Some(id) {
+            self.set_resident(id);
         }
         Ok(placed)
     }
@@ -264,6 +272,11 @@ impl Scheduler {
     fn ring_bit(&self, id: InstId) -> (usize, u64) {
         let r = id.0 & self.place_mask;
         ((r / 64) as usize, 1u64 << (r % 64))
+    }
+
+    fn set_resident(&mut self, id: InstId) {
+        let (w, bit) = self.ring_bit(id);
+        self.resident[w] |= bit;
     }
 
     /// Appends the instructions eligible for selection this cycle to `out`
@@ -314,7 +327,10 @@ impl Scheduler {
     /// Every resident id must lie in `from..end` or below `from` within
     /// one ring length of `end` — true for any range inside the ROB's
     /// sequence span — so each ring position maps to one id. Head-only
-    /// FIFOs keep no resident bits and always get `None`.
+    /// FIFOs yield their heads, and only those present when the last pass
+    /// ended: a head uncovered mid-pass waits for
+    /// [`end_issue_pass`](Self::end_issue_pass). They keep no awake bits,
+    /// so they must be scanned with `awake_only` false.
     pub(crate) fn next_candidate(
         &self,
         from: InstId,
@@ -354,8 +370,9 @@ impl Scheduler {
     /// (at dispatch when no operand is outstanding, and when the last
     /// outstanding producer issues). No-op for ids that are not (or are no
     /// longer) resident — a broadcast can race an early-selected or
-    /// squashed consumer under fault injection — and so for head-only
-    /// FIFOs, which keep no resident bits.
+    /// squashed consumer under fault injection. Head-only FIFOs keep no
+    /// wakeup bookkeeping, so the pipeline never calls this for them, and
+    /// the checker asserts their awake bits stay clear.
     pub fn set_awake(&mut self, id: InstId) {
         let (w, bit) = self.ring_bit(id);
         self.awake[w] |= self.resident[w] & bit;
@@ -366,6 +383,38 @@ impl Scheduler {
     pub(crate) fn is_awake(&self, id: InstId) -> bool {
         let (w, bit) = self.ring_bit(id);
         self.awake[w] & bit != 0
+    }
+
+    /// Whether `id`'s resident bit is set — read-only access for the
+    /// invariant checker's audit of the head-only FIFOs' head bits.
+    pub(crate) fn is_resident(&self, id: InstId) -> bool {
+        let (w, bit) = self.ring_bit(id);
+        self.resident[w] & bit != 0
+    }
+
+    /// How many resident and awake bits are set, for the same audit: with
+    /// every head's bit set, a resident count equal to the head count
+    /// leaves no room for a stray bit.
+    pub(crate) fn ring_population(&self) -> (usize, usize) {
+        let count = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum();
+        (count(&self.resident), count(&self.awake))
+    }
+
+    /// Ends an issue pass: the heads that this pass's issues uncovered in
+    /// head-only FIFOs become candidates. Deferring them keeps a pass to
+    /// the heads it started with, as a per-cycle snapshot of the heads
+    /// would; without it a FIFO could issue two instructions in one cycle.
+    pub(crate) fn end_issue_pass(&mut self) {
+        let Some(pool) = &self.pool else { return };
+        let mut uncovered = std::mem::take(&mut self.uncovered);
+        while uncovered != 0 {
+            let fifo = FifoId(uncovered.trailing_zeros() as usize);
+            uncovered &= uncovered - 1;
+            if let Some(head) = pool.head(fifo) {
+                let (w, bit) = self.ring_bit(head);
+                self.resident[w] |= bit;
+            }
+        }
     }
 
     /// Clears `id`'s resident and awake bits as it leaves.
@@ -408,6 +457,7 @@ impl Scheduler {
                 if head_only {
                     let popped = pool.pop_head(fifo);
                     assert_eq!(popped, Some(id), "head-only issue must pop the head");
+                    self.uncovered |= 1u128 << fifo.0;
                 } else {
                     assert!(pool.remove(fifo, id), "instruction must be in its FIFO");
                 }
@@ -418,9 +468,7 @@ impl Scheduler {
                 // validates staleness against the pool contents.
             }
         }
-        if !head_only {
-            self.clear_ring_bits(id);
-        }
+        self.clear_ring_bits(id);
     }
 
     /// Removes a squashed, never-issued instruction.
@@ -429,7 +477,9 @@ impl Scheduler {
     /// head-only FIFO organizations must pop their FIFO head there. A
     /// squash strikes from the *young* end — the wrong-path work sits at
     /// FIFO tails, behind entries that survive — so this removes from any
-    /// queue position.
+    /// queue position. A squashed head-only FIFO head that leaves a
+    /// successor makes it a candidate at once: squashes happen between
+    /// issue passes.
     ///
     /// # Panics
     ///
@@ -440,11 +490,17 @@ impl Scheduler {
             self.remove(id);
             return;
         }
+        let head_only = self.head_only();
         let placed = self.place[(id.0 & self.place_mask) as usize].take();
         let fifo = FifoId(placed.expect("squashed instruction must be placed") as usize);
         let pool = self.pool.as_mut().expect("checked");
+        let was_head = pool.head(fifo) == Some(id);
         assert!(pool.remove(fifo, id), "squashed instruction must be in its FIFO");
+        let successor = pool.head(fifo).filter(|_| head_only && was_head);
         self.clear_ring_bits(id);
+        if let Some(next) = successor {
+            self.set_resident(next);
+        }
     }
 
     /// The FIFO pool backing a pooled organization (`None` for the
@@ -705,7 +761,9 @@ mod tests {
     }
 
     /// The test's model of a ROB span `head..tail` and of which of its
-    /// sequence numbers are resident, awake, or issued.
+    /// sequence numbers are resident, awake, or issued, plus the FIFO heads
+    /// uncovered by issues in the current pass, which the scan must not
+    /// yield until the pass ends.
     #[derive(Default)]
     struct Model {
         head: u64,
@@ -713,19 +771,32 @@ mod tests {
         resident: std::collections::BTreeSet<u64>,
         awake: std::collections::BTreeSet<u64>,
         issued: std::collections::BTreeSet<u64>,
+        uncovered: std::collections::BTreeSet<u64>,
     }
 
     impl Model {
         fn issue(&mut self, s: &mut Scheduler, id: InstId) {
+            let fifo = s.placement_of(id).map(|f| FifoId(f as usize));
             s.remove(id);
+            if s.head_only() {
+                let pool = s.pool().expect("pooled");
+                self.uncovered.extend(fifo.and_then(|f| pool.head(f)).map(|h| h.0));
+            }
             self.resident.remove(&id.0);
             self.awake.remove(&id.0);
             self.issued.insert(id.0);
         }
 
+        fn end_pass(&mut self, s: &mut Scheduler) {
+            s.end_issue_pass();
+            self.uncovered.clear();
+        }
+
+        /// Wakes a window entry. The pipeline never wakes a head-only
+        /// FIFO's instructions: they keep no awake bits.
         fn wake(&mut self, s: &mut Scheduler, id: u64) {
-            s.set_awake(InstId(id));
             if !s.head_only() {
+                s.set_awake(InstId(id));
                 self.awake.insert(id);
             }
         }
@@ -734,11 +805,14 @@ mod tests {
             self.resident.iter().copied().find(|id| !self.awake.contains(id))
         }
 
-        /// `candidates_into` filtered to resident ∧ awake (or to resident
-        /// alone) and sorted by id: what the ring scan must yield.
+        /// `candidates_into` without the heads uncovered this pass,
+        /// filtered to resident ∧ awake (or to resident alone) and sorted
+        /// by id: what the ring scan must yield.
         fn expect(&self, s: &Scheduler, awake_only: bool) -> Vec<Candidate> {
             let mut want = s.candidates();
-            want.retain(|c| !s.head_only() && (!awake_only || self.awake.contains(&c.id.0)));
+            want.retain(|c| {
+                !self.uncovered.contains(&c.id.0) && (!awake_only || self.awake.contains(&c.id.0))
+            });
             want.sort_unstable_by_key(|c| c.id);
             want
         }
@@ -754,8 +828,10 @@ mod tests {
     /// numbers wrapping the ring many times, squashes whose sequence
     /// numbers are then reused, and wakes and issues during a pass — the
     /// ring scan equals `candidates_into` filtered to resident ∧ awake (or
-    /// to resident alone) and sorted by id. Head-only FIFOs keep no wakeup
-    /// state, so their scan stays empty.
+    /// to resident alone) and sorted by id. For head-only FIFOs that is
+    /// the heads present when the last pass ended, oldest first: a head
+    /// uncovered mid-pass stays invisible until `end_issue_pass`, and
+    /// with no awake bits their awake-only scan stays empty.
     #[test]
     fn ring_scan_matches_filtered_candidates_on_random_histories() {
         let mut rng: u64 = 0x5eed_cafe_f00d_0001;
@@ -782,7 +858,9 @@ mod tests {
                     // Dispatch the next sequence number, awake half the time.
                     0..=2 if m.tail - m.head < max_inflight as u64 => {
                         let inst = alu(8 + next(8) as u8, 8 + next(8) as u8, 1);
-                        s.set_awake(InstId(m.tail)); // not yet resident: a no-op
+                        if !s.head_only() {
+                            s.set_awake(InstId(m.tail)); // not yet resident: a no-op
+                        }
                         if s.try_insert(InstId(m.tail), &inst).is_ok() {
                             m.resident.insert(m.tail);
                             if next(2) == 0 {
@@ -791,12 +869,14 @@ mod tests {
                             m.tail += 1;
                         }
                     }
-                    // Issue any candidate (a FIFO head on head-only FIFOs).
+                    // A one-issue pass: any candidate (a FIFO head on
+                    // head-only FIFOs).
                     3 => {
                         let cands = s.candidates();
                         if !cands.is_empty() {
                             m.issue(&mut s, cands[next(cands.len() as u64) as usize].id);
                         }
+                        m.end_pass(&mut s);
                     }
                     // Commit issued instructions from the ROB head.
                     4 => {
@@ -823,7 +903,7 @@ mod tests {
                     }
                     // An issue pass: issues and wakes land mid-scan.
                     _ => {
-                        let awake_only = next(2) == 0;
+                        let awake_only = !s.head_only() && next(2) == 0;
                         let mut at = m.head;
                         loop {
                             let got = s.next_candidate(InstId(at), InstId(m.tail), awake_only);
@@ -837,6 +917,7 @@ mod tests {
                                 _ => {}
                             }
                         }
+                        m.end_pass(&mut s);
                     }
                 }
                 for awake_only in [false, true] {
@@ -848,6 +929,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A head-only FIFO whose head issues shows its successor to the scan
+    /// only once the pass ends; a squashed head shows it at once.
+    #[test]
+    fn fifo_successor_becomes_a_candidate_at_pass_end_or_on_squash() {
+        let mut s = Scheduler::new(
+            SchedulerKind::Fifos { fifos_per_cluster: 1, depth: 4 },
+            1,
+            SteeringPolicy::Dependence,
+            16,
+        );
+        // A chain of four: one FIFO, id order 0..4.
+        for i in 0..4u64 {
+            s.try_insert(InstId(i), &alu(10 + i as u8, 9 + i as u8, 2)).unwrap();
+        }
+        let scan = |s: &Scheduler, from: u64| s.next_candidate(InstId(from), InstId(4), false);
+        assert_eq!(scan(&s, 0).map(|c| c.id), Some(InstId(0)));
+        s.remove(InstId(0));
+        assert_eq!(scan(&s, 0), None, "uncovered mid-pass: not yet a candidate");
+        s.end_issue_pass();
+        assert_eq!(scan(&s, 0), Some(Candidate { id: InstId(1), cluster: Some(0) }));
+        s.remove_squashed(InstId(1));
+        assert_eq!(scan(&s, 0).map(|c| c.id), Some(InstId(2)), "squash exposes at once");
+        assert_eq!(s.ring_population(), (1, 0), "one head bit, no awake bits");
     }
 
     #[test]
