@@ -1,31 +1,36 @@
-//! `cechaos` — the seeded chaos campaign for the experiment service.
+//! `cechaos` — the seeded chaos campaign for the simulator stack and
+//! the experiment service.
 //!
 //! ```text
 //! cechaos [--seed N] [--clients N] [--rounds N] [--state DIR]
 //!         [--grid-only] [--keep]
 //!
 //!   --seed N     campaign seed (default 0xCE5EED); same seed → same
-//!                fault plans, same fuzz corpus, same kill schedule
+//!                simulator faults, same fuzz corpus, same kill schedule
 //!   --clients N  concurrent protocol clients per storm round (3)
 //!   --rounds N   storm rounds (2)
 //!   --state DIR  campaign scratch directory (default: a temp dir,
 //!                removed on success)
-//!   --grid-only  run only the deterministic fault grid, skip the
+//!   --grid-only  run only the two deterministic phases, skip the
 //!                daemon storm (no cesimd binary needed)
 //!   --keep       keep the state directory even on success
 //! ```
 //!
-//! Two phases, both gated on the **zero-corruption contract**
-//! (`ce_bench::chaos`):
+//! Three phases, graded into one `ce_bench::campaign` report:
 //!
-//! 1. **Fault grid** — every injectable fault class at every I/O
+//! 1. **Simulator faults** — `ce_bench::fault`'s seeded campaign: trace
+//!    corruptions, config perturbations and scheduler injections, none
+//!    of which may be `silent`.
+//!
+//! 2. **I/O fault grid** — every injectable fault class at every I/O
 //!    operation index of the durability workload: ENOSPC, EIO, torn
 //!    writes, failed fsyncs in-process, and crash points via worker
 //!    subprocesses (`CE_IOFAULT=crash@K` aborts the worker at exactly
-//!    op K). Every case must resolve Detected or Masked, with recovery
-//!    converging to byte-identical files. ≥ 100 cases by construction.
+//!    op K). Every case must be `detected` or `unchanged`, with
+//!    recovery converging to byte-identical files (`ce_bench::chaos`).
+//!    ≥ 100 cases by construction, checked as a case of its own.
 //!
-//! 2. **Daemon storm** — `--rounds` rounds of: spawn `cesimd` (some
+//! 3. **Daemon storm** — `--rounds` rounds of: spawn `cesimd` (some
 //!    rounds with an injected I/O fault plan, some with a crash point),
 //!    hammer it with `--clients` concurrent clients running overlapping
 //!    sweeps, seeded protocol fuzz, and mid-stream disconnects, then
@@ -34,11 +39,11 @@
 //!    WAL-recovered job, resubmitting every spec twice must return
 //!    byte-identical artifacts with the second pass fully cache-served,
 //!    and the per-job telemetry journals must prove **no cell was ever
-//!    simulated twice** across daemon generations.
+//!    simulated twice** across daemon generations. Each of these gates
+//!    is a `storm` case.
 //!
-//! Exit codes: 0 contract upheld, 1 violations (each printed as a
-//! structured `error[chaos]` line), 2 usage or campaign-infrastructure
-//! errors.
+//! Exit codes: 0 no violation, 1 any violation (each printed as an
+//! `error[<verdict>]` line), 2 usage or campaign-infrastructure errors.
 
 #[cfg(unix)]
 fn main() -> std::process::ExitCode {
@@ -47,8 +52,7 @@ fn main() -> std::process::ExitCode {
 
 #[cfg(not(unix))]
 fn main() -> std::process::ExitCode {
-    eprintln!("cechaos: error[io]: the chaos campaign needs Unix domain sockets");
-    std::process::ExitCode::from(2)
+    ce_bench::campaign::refuse("cechaos", "io", "the chaos campaign needs Unix domain sockets")
 }
 
 #[cfg(unix)]
@@ -61,10 +65,11 @@ mod unix {
     use std::time::{Duration, Instant};
 
     use ce_bench::api::JobEvent;
+    use ce_bench::campaign::{refuse, Case, Report, Verdict};
     use ce_bench::chaos::{
         classify_crash_case, durability_workload, fault_grid, fuzz_corpus, grid_context,
-        GridReport,
     };
+    use ce_bench::fault;
     use ce_bench::iofault::{self, FaultClass};
     use ce_bench::json::Json;
     use ce_bench::service::MAX_REQUEST_LINE;
@@ -90,13 +95,6 @@ mod unix {
             keep: false,
         };
         let mut args = std::env::args().skip(1);
-        let usage = || {
-            eprintln!(
-                "usage: cechaos [--seed N] [--clients N] [--rounds N] [--state DIR] \
-                 [--grid-only] [--keep]"
-            );
-            ExitCode::from(2)
-        };
         while let Some(arg) = args.next() {
             let mut value = |what: &str| {
                 args.next().ok_or_else(|| format!("{what} requires a value"))
@@ -132,20 +130,31 @@ mod unix {
                 if msg == "worker-ok" {
                     return ExitCode::SUCCESS;
                 }
-                if !msg.is_empty() {
-                    eprintln!("error: {msg}");
+                eprintln!(
+                    "usage: cechaos [--seed N] [--clients N] [--rounds N] [--state DIR] \
+                     [--grid-only] [--keep]"
+                );
+                if msg.is_empty() {
+                    return ExitCode::from(2);
                 }
-                return usage();
+                return refuse("cechaos", "usage", msg);
             }
         }
-        match campaign(&opts) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::from(1),
-            Err(e) => {
-                eprintln!("cechaos: error[io]: {e}");
-                ExitCode::from(2)
-            }
+        let state = opts.state.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("cechaos-{}", std::process::id()))
+        });
+        let mut report = Report::new("cechaos");
+        let result = campaign(&opts, &state, &mut report.cases);
+        println!("{report}");
+        if let Err(e) = result {
+            return refuse("cechaos", "io", e);
         }
+        let passed = report.violations().next().is_none();
+        if passed && !opts.keep && opts.state.is_none() {
+            let _ = std::fs::remove_dir_all(&state);
+        }
+        println!("cechaos: campaign {}", if passed { "PASSED" } else { "FAILED" });
+        report.exit_code()
     }
 
     fn parse_num(text: &str, what: &str) -> Result<u64, String> {
@@ -171,11 +180,10 @@ mod unix {
         }
     }
 
-    fn campaign(opts: &Options) -> Result<bool, String> {
-        let state = opts.state.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("cechaos-{}", std::process::id()))
-        });
-        std::fs::create_dir_all(&state).map_err(|e| format!("state dir: {e}"))?;
+    /// Runs the phases in order, grading into `cases`; an `Err` is an
+    /// infrastructure failure, not a verdict.
+    fn campaign(opts: &Options, state: &Path, cases: &mut Vec<Case>) -> Result<(), String> {
+        std::fs::create_dir_all(state).map_err(|e| format!("state dir: {e}"))?;
         println!(
             "cechaos: seed {:#x}, state {}, {} client(s) × {} round(s)",
             opts.seed,
@@ -183,28 +191,24 @@ mod unix {
             opts.clients,
             opts.rounds
         );
-
-        let mut ok = grid_phase(&state.join("grid")).map_err(|e| format!("grid: {e}"))?;
+        cases.extend(fault::run_campaign(opts.seed));
+        grid_phase(&state.join("grid"), cases).map_err(|e| format!("grid: {e}"))?;
         if !opts.grid_only {
-            ok &= storm_phase(opts, &state.join("service"))?;
+            storm_phase(opts, &state.join("service"), cases)?;
         }
-        if ok && !opts.keep && opts.state.is_none() {
-            let _ = std::fs::remove_dir_all(&state);
-        }
-        println!(
-            "cechaos: campaign {}",
-            if ok { "PASSED" } else { "FAILED (see error[chaos] lines)" }
-        );
-        Ok(ok)
+        Ok(())
     }
 
-    /// Phase 1: the exhaustive fault grid — in-process classes via
-    /// thread-local plans, crash points via worker subprocesses.
-    fn grid_phase(root: &Path) -> std::io::Result<bool> {
+    /// Phase 2: the exhaustive I/O fault grid — in-process classes via
+    /// thread-local plans, crash points via worker subprocesses — then
+    /// its case floor.
+    fn grid_phase(root: &Path, cases: &mut Vec<Case>) -> std::io::Result<()> {
         let ctx = grid_context(root)?;
-        let mut report: GridReport = fault_grid(root, &ctx)?;
+        let first = cases.len();
+        cases.extend(fault_grid(root, &ctx)?);
         let me = std::env::current_exe()?;
         for index in 0..ctx.horizon {
+            let start = Instant::now();
             let dir = root.join(format!("crash-{index}"));
             let _ = std::fs::remove_dir_all(&dir);
             let status = Command::new(&me)
@@ -217,20 +221,21 @@ mod unix {
             // abort() dies by signal; a normal exit means the plan never
             // fired (index at/beyond the horizon).
             let crashed = status.code().is_none();
-            report.cases.push(classify_crash_case(&dir, index, crashed, &ctx)?);
+            let case = classify_crash_case(&dir, index, crashed, &ctx)?;
+            cases.push(Case { wall: start.elapsed(), ..case });
         }
-        println!("{report}");
-        let enough = report.cases.len() >= 100;
-        if !enough {
-            println!(
-                "error[chaos]: only {} grid cases; the campaign contract needs ≥ 100",
-                report.cases.len()
-            );
-        }
-        Ok(report.violations().is_empty() && enough)
+        let grid = cases.len() - first;
+        cases.push(Case {
+            class: "grid",
+            name: "case floor".into(),
+            verdict: Verdict::check(grid >= 100),
+            detail: format!("{grid} I/O fault cases over {} ops (≥ 100 required)", ctx.horizon),
+            wall: Duration::ZERO,
+        });
+        Ok(())
     }
 
-    // ---- Phase 2: the daemon storm ----------------------------------
+    // ---- Phase 3: the daemon storm ----------------------------------
 
     /// The overlapping job mix. Small sweeps (instruction cap set by the
     /// campaign) so every round sees submissions, kills, and completions.
@@ -324,18 +329,16 @@ mod unix {
         }
     }
 
-    /// What one storm client saw. Everything here is tolerated noise
-    /// except `proto_breaks`: a fuzz line that was NOT rejected with a
+    /// How one storm client's fuzz lines were answered. `proto_breaks`
+    /// counts the violations: a fuzz line that was NOT rejected with a
     /// structured error event while the daemon was still alive.
     /// (Malformed lines draw `error[proto]`; a well-formed submit with
     /// a nonsense spec draws `error[config-invalid]` — both count as
-    /// the daemon holding the line.)
+    /// the daemon holding the line.) Disconnects are storm weather.
     #[derive(Debug, Default)]
     struct ClientTally {
-        dones: usize,
         proto_errors: usize,
         proto_breaks: usize,
-        disconnects: usize,
     }
 
     /// One storm client: seeded behavior — protocol fuzz, then a
@@ -348,7 +351,6 @@ mod unix {
         let pool = spec_pool();
 
         let Ok(stream) = UnixStream::connect(socket) else {
-            tally.disconnects += 1;
             return tally;
         };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
@@ -364,15 +366,11 @@ mod unix {
             if writer.write_all(line.as_bytes()).is_err()
                 || writer.write_all(b"\n").is_err()
             {
-                tally.disconnects += 1;
                 return tally;
             }
             let mut response = String::new();
             match reader.read_line(&mut response) {
-                Ok(0) | Err(_) => {
-                    tally.disconnects += 1;
-                    return tally;
-                }
+                Ok(0) | Err(_) => return tally,
                 Ok(_) => {
                     let rejected = Json::parse(response.trim()).is_ok_and(|doc| {
                         doc.at("ev").and_then(Json::as_str) == Some("error")
@@ -389,32 +387,21 @@ mod unix {
         let (_, submit) = &pool[rng.gen_range(0usize..pool.len())];
         let abandon = rng.gen_range(0u32..3) == 0;
         if writer.write_all(submit.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-            tally.disconnects += 1;
             return tally;
         }
         let mut line = String::new();
         loop {
             line.clear();
             match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => {
-                    tally.disconnects += 1;
-                    return tally;
-                }
+                Ok(0) | Err(_) => return tally,
                 Ok(_) => {}
             }
             let Ok(doc) = Json::parse(line.trim()) else { continue };
             match doc.at("ev").and_then(Json::as_str) {
-                Some("accepted") if abandon => {
-                    // Mid-stream disconnect: drop the connection while
-                    // the job runs. The WAL owns the job now.
-                    tally.disconnects += 1;
-                    return tally;
-                }
-                Some("done") => {
-                    tally.dones += 1;
-                    return tally;
-                }
-                Some("error") => return tally,
+                // Mid-stream disconnect: drop the connection while the
+                // job runs. The WAL owns the job now.
+                Some("accepted") if abandon => return tally,
+                Some("done" | "error") => return tally,
                 _ => {}
             }
         }
@@ -425,30 +412,27 @@ mod unix {
     type DoneOutcome = (Vec<(String, String)>, usize, usize);
 
     /// Submits `line` and streams to `done`, returning the artifacts
-    /// and cache split. `None` if the daemon died or errored.
-    fn submit_to_done(socket: &Path, line: &str) -> Option<DoneOutcome> {
-        let stream = UnixStream::connect(socket).ok()?;
-        stream.set_read_timeout(Some(Duration::from_secs(600))).ok()?;
-        let mut writer = stream.try_clone().ok()?;
+    /// and cache split, or why the daemon did not get there.
+    fn submit_to_done(socket: &Path, line: &str) -> Result<DoneOutcome, String> {
+        let io = |e: std::io::Error| e.to_string();
+        let stream = UnixStream::connect(socket).map_err(io)?;
+        stream.set_read_timeout(Some(Duration::from_secs(600))).map_err(io)?;
+        let mut writer = stream.try_clone().map_err(io)?;
         let mut reader = BufReader::new(stream);
-        writer.write_all(line.as_bytes()).ok()?;
-        writer.write_all(b"\n").ok()?;
+        writer.write_all(line.as_bytes()).map_err(io)?;
+        writer.write_all(b"\n").map_err(io)?;
         let mut buf = String::new();
         loop {
             buf.clear();
-            match reader.read_line(&mut buf) {
-                Ok(0) | Err(_) => return None,
-                Ok(_) => {}
+            if reader.read_line(&mut buf).map_err(io)? == 0 {
+                return Err("the stream ended before `done`".into());
             }
-            let doc = Json::parse(buf.trim()).ok()?;
-            match JobEvent::from_json(&doc).ok()? {
+            let doc = Json::parse(buf.trim()).map_err(|e| e.to_string())?;
+            match JobEvent::from_json(&doc)? {
                 JobEvent::Done { outcome, .. } => {
-                    return Some((outcome.artifacts, outcome.cache_hits, outcome.cache_misses))
+                    return Ok((outcome.artifacts, outcome.cache_hits, outcome.cache_misses))
                 }
-                JobEvent::Error { kind, message } => {
-                    println!("error[chaos]: convergence submit failed: {kind}: {message}");
-                    return None;
-                }
+                JobEvent::Error { kind, message } => return Err(format!("{kind}: {message}")),
                 _ => {}
             }
         }
@@ -516,40 +500,40 @@ mod unix {
         jobs
     }
 
-    fn fsck_gate(bin: &Path, state: &Path, when: &str) -> bool {
+    /// A storm gate as a `pass`/`fail` case timed from `start`.
+    fn storm_case(name: impl Into<String>, held: bool, detail: String, start: Instant) -> Case {
+        let (name, wall) = (name.into(), start.elapsed());
+        Case { class: "storm", name, verdict: Verdict::check(held), detail, wall }
+    }
+
+    fn fsck_gate(bin: &Path, state: &Path, when: &str) -> Case {
+        let start = Instant::now();
         let out = Command::new(bin)
             .arg("--fsck")
             .arg("--state")
             .arg(state)
             .output();
-        match out {
-            Ok(out) if out.status.success() => {
-                println!(
-                    "cechaos: fsck {when}: clean ({})",
-                    String::from_utf8_lossy(&out.stdout).lines().last().unwrap_or("")
-                );
-                true
-            }
+        let (held, detail) = match out {
             Ok(out) => {
-                println!(
-                    "error[chaos]: fsck {when} found corruption:\n{}",
-                    String::from_utf8_lossy(&out.stdout)
-                );
-                false
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                if out.status.success() {
+                    (true, format!("clean ({})", stdout.lines().last().unwrap_or("")))
+                } else {
+                    let report = stdout.lines().collect::<Vec<_>>().join(" | ");
+                    (false, format!("found corruption: {report}"))
+                }
             }
-            Err(e) => {
-                println!("error[chaos]: fsck {when} did not run: {e}");
-                false
-            }
-        }
+            Err(e) => (false, format!("did not run: {e}")),
+        };
+        storm_case(format!("fsck {when}"), held, detail, start)
     }
 
-    fn storm_phase(opts: &Options, state: &Path) -> Result<bool, String> {
+    fn storm_phase(opts: &Options, state: &Path, cases: &mut Vec<Case>) -> Result<(), String> {
         let bin = cesimd()?;
         let socket = state.join("d.sock");
-        let mut ok = true;
 
         for round in 0..opts.rounds {
+            let start = Instant::now();
             let mut rng = StdRng::seed_from_u64(opts.seed ^ ((round as u64 + 1) << 32));
             // Some rounds storm a faulted daemon: a mid-stream I/O error
             // or a crash point injected into its write paths.
@@ -594,27 +578,26 @@ mod unix {
             let method = if crash_armed { 2 } else { rng.gen_range(0u32..2) };
             kill_daemon(&mut daemon, &socket, method);
 
-            let mut proto_breaks = 0;
+            let (mut refused, mut proto_breaks) = (0, 0);
             for client in clients {
                 let tally = client.join().map_err(|_| "client thread panicked")?;
+                refused += tally.proto_errors;
                 proto_breaks += tally.proto_breaks;
             }
-            if proto_breaks > 0 {
-                // Fuzz responses can be cut off by the kill (EOF counts
-                // as a disconnect, not a break), so any break here means
-                // a live daemon answered fuzz with a non-proto event.
-                println!(
-                    "error[chaos]: round {}: {proto_breaks} fuzz line(s) not answered \
-                     with error[proto]",
-                    round + 1
-                );
-                ok = false;
-            }
+            // Fuzz responses can be cut off by the kill (EOF counts as a
+            // disconnect, not a break), so any break here means a live
+            // daemon answered fuzz with a non-error event.
+            cases.push(storm_case(
+                format!("round {} fuzz", round + 1),
+                proto_breaks == 0,
+                format!("{refused} fuzz line(s) refused with an error event, {proto_breaks} not"),
+                start,
+            ));
         }
 
         // Gate 1: the wreckage audits clean (torn tails and orphaned
         // tempfiles are fine; quarantine-worthy corruption is not).
-        ok &= fsck_gate(&bin, state, "after storm");
+        cases.push(fsck_gate(&bin, state, "after storm"));
 
         // Gate 2: a clean daemon drains every WAL-recovered job, then
         // every spec resubmitted twice returns byte-identical artifacts
@@ -642,61 +625,52 @@ mod unix {
         println!("cechaos: recovery daemon drained every WAL-recovered job");
 
         for (name, line) in &spec_pool() {
-            let first = submit_to_done(&socket, line);
-            let second = submit_to_done(&socket, line);
-            match (first, second) {
-                (Some((art1, _, _)), Some((art2, hits2, misses2))) => {
-                    if art1 != art2 {
-                        println!(
-                            "error[chaos]: {name}: resubmission artifacts differ \
-                             (run 1 vs run 2)"
-                        );
-                        ok = false;
-                    }
-                    if misses2 != 0 {
-                        println!(
-                            "error[chaos]: {name}: second resubmission simulated \
-                             {misses2} cell(s) ({hits2} cached) — store should serve all"
-                        );
-                        ok = false;
-                    }
-                }
-                _ => {
-                    println!("error[chaos]: {name}: convergence resubmission failed");
-                    ok = false;
-                }
-            }
+            let start = Instant::now();
+            let runs = submit_to_done(&socket, line)
+                .and_then(|first| Ok((first, submit_to_done(&socket, line)?)));
+            let (held, detail) = match runs {
+                Ok(((art1, _, _), (art2, hits2, misses2))) => (
+                    art1 == art2 && misses2 == 0,
+                    format!(
+                        "run 2's artifacts {} run 1's; run 2 served {hits2} cell(s) from the \
+                         store and simulated {misses2}",
+                        if art1 == art2 { "are byte-identical to" } else { "differ from" }
+                    ),
+                ),
+                Err(e) => (false, format!("convergence resubmission failed: {e}")),
+            };
+            cases.push(storm_case(format!("{name} resubmission"), held, detail, start));
         }
 
         // Gate 3: zero duplicate simulation — across every daemon
         // generation, no job ever simulated the same cell twice.
-        let mut duplicate_cells = 0usize;
+        let start = Instant::now();
+        let mut duplicates = Vec::new();
         for (job, execs) in exec_profiles(state) {
             let mut seen: BTreeSet<u64> = BTreeSet::new();
             for cells in &execs {
                 for &cell in cells {
                     if !seen.insert(cell) {
-                        duplicate_cells += 1;
-                        println!(
-                            "error[chaos]: job {job}: cell {cell} simulated in more \
-                             than one execution"
-                        );
+                        duplicates.push(format!("job {job} cell {cell}"));
                     }
                 }
             }
         }
-        ok &= duplicate_cells == 0;
-        println!("cechaos: duplicate-simulation check: {duplicate_cells} duplicate cell(s)");
+        let detail = format!(
+            "{} cell(s) simulated in more than one execution: [{}]",
+            duplicates.len(),
+            duplicates.join(", ")
+        );
+        cases.push(storm_case("duplicate simulation", duplicates.is_empty(), detail, start));
 
+        let start = Instant::now();
         let _ = request_line(&socket, "{\"op\": \"shutdown\"}");
         let status = daemon.wait().map_err(|e| format!("reaping cesimd: {e}"))?;
-        if !status.success() {
-            println!("error[chaos]: recovery daemon did not exit cleanly: {status}");
-            ok = false;
-        }
+        let detail = format!("recovery daemon {status}");
+        cases.push(storm_case("recovery daemon exit", status.success(), detail, start));
 
         // Gate 4: the final state still audits clean.
-        ok &= fsck_gate(&bin, state, "after convergence");
-        Ok(ok)
+        cases.push(fsck_gate(&bin, state, "after convergence"));
+        Ok(())
     }
 }

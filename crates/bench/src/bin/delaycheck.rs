@@ -17,11 +17,14 @@
 //! cargo run --release -p ce-bench --bin delaycheck [--out PATH]
 //! ```
 //!
-//! Writes `results/delay_anchor_report.csv` atomically (CI diffs it
-//! against the committed copy). Exit codes: 0 all campaigns pass, 1 gate
-//! failure (drift, broken shape, or a panic out of a checked path), 2
-//! usage or I/O errors.
+//! Every anchor, shape and the fuzz corpus is one `pass` or `fail` case
+//! of a [`campaign`](ce_bench::campaign) report. Writes
+//! `results/delay_anchor_report.csv` atomically (CI diffs it against the
+//! committed copy). Exit codes: 0 all campaigns pass, 1 gate failure
+//! (drift, broken shape, or a panic out of a checked path), 2 usage or
+//! I/O errors.
 
+use ce_bench::campaign::{refuse, Case, Report, Verdict};
 use ce_bench::checkpoint::write_atomic;
 use ce_bench::cli::OutArgs;
 use ce_delay::bypass::{BypassDelay, BypassParams};
@@ -36,6 +39,7 @@ use ce_delay::{anchors, DelayError, PipelineDelays, Technology};
 use rand::{Rng, SeedableRng, StdRng};
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 /// Adversarial parameter palette: boundary values, plausible values, and
 /// far-out-of-domain garbage.
@@ -145,99 +149,77 @@ fn fuzz_domains(cases_per_structure: usize) -> FuzzTally {
     t
 }
 
+/// A `pass`/`fail` case for `check`, and the CSV status column's spelling.
+fn case(class: &'static str, name: &str, pass: bool, detail: String) -> (Case, &'static str) {
+    let (name, wall) = (name.to_owned(), Duration::ZERO);
+    let case = Case { class, name, verdict: Verdict::check(pass), detail, wall };
+    (case, if pass { "pass" } else { "FAIL" })
+}
+
 fn main() -> ExitCode {
     let args = OutArgs::parse("results/delay_anchor_report.csv");
     let mut csv =
         String::from("kind,id,artifact,unit,expected,got,residual_pct,tol_pct,status\n");
-    let mut failures = 0usize;
+    let mut report = Report::new("delaycheck");
 
-    println!("delaycheck: paper-anchor campaign");
-    let checks = match anchors::evaluate_all() {
-        Ok(checks) => checks,
-        Err(e) => {
-            eprintln!("delaycheck: error: anchor evaluation failed: {e}");
-            return ExitCode::from(1);
+    match anchors::evaluate_all() {
+        Ok(checks) => {
+            for c in &checks {
+                let (a, resid, tol) =
+                    (&c.anchor, c.residual_frac * 100.0, c.anchor.tol_frac * 100.0);
+                let detail = format!(
+                    "expected {:.3} {}, got {:.3}, residual {resid:.1}% (tolerance {tol:.0}%)",
+                    a.expected, a.unit, c.got
+                );
+                let (case, status) = case("anchor", a.id, c.pass, detail);
+                report.cases.push(case);
+                let _ = writeln!(
+                    csv,
+                    "anchor,{},{},{},{:.4},{:.4},{resid:.2},{tol:.0},{status}",
+                    a.id,
+                    a.artifact.replace(',', ";"),
+                    a.unit,
+                    a.expected,
+                    c.got,
+                );
+            }
         }
-    };
-    println!(
-        "{:<32} {:>12} {:>12} {:>9} {:>7}  status",
-        "anchor", "expected", "got", "resid", "tol"
-    );
-    ce_bench::rule(84);
-    for c in &checks {
-        let status = if c.pass { "pass" } else { "FAIL" };
-        println!(
-            "{:<32} {:>12.3} {:>12.3} {:>8.1}% {:>6.0}%  {status}",
-            c.anchor.id,
-            c.anchor.expected,
-            c.got,
-            c.residual_frac * 100.0,
-            c.anchor.tol_frac * 100.0,
-        );
-        let _ = writeln!(
-            csv,
-            "anchor,{},{},{},{:.4},{:.4},{:.2},{:.0},{status}",
-            c.anchor.id,
-            c.anchor.artifact.replace(',', ";"),
-            c.anchor.unit,
-            c.anchor.expected,
-            c.got,
-            c.residual_frac * 100.0,
-            c.anchor.tol_frac * 100.0,
-        );
-        failures += usize::from(!c.pass);
+        Err(e) => report.cases.push(case("anchor", "evaluation", false, e.to_string()).0),
     }
 
-    println!();
-    println!("delaycheck: growth-shape campaign");
-    let shapes = match anchors::verify_shapes() {
-        Ok(shapes) => shapes,
-        Err(e) => {
-            eprintln!("delaycheck: error: shape verification failed: {e}");
-            return ExitCode::from(1);
+    match anchors::verify_shapes() {
+        Ok(shapes) => {
+            for s in &shapes {
+                let (case, status) = case("shape", s.id, s.pass, s.detail.clone());
+                report.cases.push(case);
+                let _ = writeln!(csv, "shape,{},{},,,,,,{status}", s.id, s.structure);
+            }
         }
-    };
-    for s in &shapes {
-        let status = if s.pass { "pass" } else { "FAIL" };
-        println!("{:<44} {status}   ({})", s.id, s.detail);
-        let _ = writeln!(csv, "shape,{},{},,,,,,{status}", s.id, s.structure);
-        failures += usize::from(!s.pass);
+        Err(e) => report.cases.push(case("shape", "verification", false, e.to_string()).0),
     }
 
-    println!();
-    println!("delaycheck: domain-fuzz campaign (checked paths must not panic)");
+    // Checked paths must not panic, and the corpus must exercise both
+    // sides of the validation boundary.
+    let start = Instant::now();
     let t = fuzz_domains(250);
-    // The corpus must exercise both sides of the validation boundary.
     let balanced = t.accepted > t.cases / 20 && t.rejected > t.cases / 20;
-    let fuzz_pass = t.panics == 0 && balanced;
-    println!(
-        "  {} cases: {} accepted, {} rejected, {} panics -> {}",
-        t.cases,
-        t.accepted,
-        t.rejected,
-        t.panics,
-        if fuzz_pass { "pass" } else { "FAIL" }
+    let detail = format!(
+        "{} cases: {} accepted, {} rejected, {} panics",
+        t.cases, t.accepted, t.rejected, t.panics
     );
+    let (fuzz, status) = case("fuzz", "domain_campaign", t.panics == 0 && balanced, detail);
+    report.cases.push(Case { wall: start.elapsed(), ..fuzz });
     let _ = writeln!(
         csv,
-        "fuzz,domain_campaign,,cases,{},{},,,{}",
+        "fuzz,domain_campaign,,cases,{},{},,,{status}",
         t.cases,
-        t.cases - t.panics,
-        if fuzz_pass { "pass" } else { "FAIL" }
+        t.cases - t.panics
     );
-    failures += usize::from(!fuzz_pass);
 
     if let Err(e) = write_atomic(&args.out, &csv) {
-        eprintln!("delaycheck: error[io]: writing {}: {e}", args.out.display());
-        return ExitCode::from(2);
+        return refuse("delaycheck", "io", format!("writing {}: {e}", args.out.display()));
     }
     eprintln!("delaycheck: wrote {}", args.out.display());
-
-    if failures > 0 {
-        eprintln!("delaycheck: {failures} campaign check(s) FAILED");
-        ExitCode::from(1)
-    } else {
-        println!("delaycheck: all campaigns pass");
-        ExitCode::SUCCESS
-    }
+    println!("{report}");
+    report.exit_code()
 }

@@ -4,8 +4,10 @@
 //! through the optimized [`Simulator`] with its per-cycle invariant
 //! checker enabled, once through the deliberately naive
 //! [`OracleSimulator`], and demands *bit-identical* statistics
-//! fingerprints. One `PASS`/`FAIL` line per cell; exits non-zero if any
-//! cell fails, so CI can gate on it.
+//! fingerprints. Each cell is a `pass` or `fail` case of one
+//! [`campaign`](ce_bench::campaign) report, tallied per kernel.
+//! Exit codes: 0 every cell bit-identical, 1 any cell diverged, 2 usage
+//! error (an unknown grid, flag or kernel).
 //!
 //! The grid is the five Figure 17 organizations by default, or every
 //! organization the explorer simulates: the tiny grid's 6 or the full
@@ -17,6 +19,7 @@
 //! CE_THREADS=4 diffcheck       # bound the worker pool
 //! ```
 
+use ce_bench::campaign::{refuse, Case, Report, Verdict};
 use ce_bench::explore::{simulated_points, GridScale};
 use ce_bench::runner;
 use ce_sim::{machine, OracleSimulator, SimConfig, Simulator};
@@ -24,6 +27,7 @@ use ce_workloads::{trace_cached, Benchmark};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 struct Cell {
     machine: String,
@@ -46,65 +50,58 @@ fn organizations(grid: &str) -> Option<Vec<(String, SimConfig)>> {
     }
 }
 
-enum Outcome {
-    Pass { cycles: u64 },
-    Fail { optimized: String, oracle: String },
-    Error(String),
+fn check_cell(cell: &Cell, cap: u64) -> Case {
+    let start = Instant::now();
+    let (verdict, detail) = grade(cell, cap);
+    let (class, name) = (cell.bench.name(), cell.machine.clone());
+    Case { class, name, verdict, detail, wall: start.elapsed() }
 }
 
-fn check_cell(cell: &Cell, cap: u64) -> Outcome {
+fn grade(cell: &Cell, cap: u64) -> (Verdict, String) {
     let trace = match trace_cached(cell.bench, cap) {
         Ok(t) => t,
-        Err(e) => return Outcome::Error(format!("tracing failed: {e}")),
+        Err(e) => return (Verdict::Fail, format!("tracing failed: {e}")),
     };
     let mut checked = cell.cfg;
     checked.check = true;
     let optimized = match Simulator::try_new(checked) {
         Ok(sim) => sim.run(&trace),
-        Err(e) => return Outcome::Error(e.to_string()),
+        Err(e) => return (Verdict::Fail, e.to_string()),
     };
     let oracle = OracleSimulator::new(cell.cfg).run(&trace);
     if optimized.fingerprint() == oracle.fingerprint() {
-        Outcome::Pass { cycles: optimized.cycles }
+        (Verdict::Pass, format!("{} cycles", optimized.cycles))
     } else {
-        Outcome::Fail {
-            optimized: optimized.fingerprint(),
-            oracle: oracle.fingerprint(),
-        }
+        let (optimized, oracle) = (optimized.fingerprint(), oracle.fingerprint());
+        (Verdict::Fail, format!("optimized {optimized} vs oracle {oracle}"))
     }
 }
 
 fn main() -> ExitCode {
+    let usage = |msg: String| refuse("diffcheck", "usage", msg);
     let mut grid = String::from("fig17");
     let mut filter: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--grid" {
             let Some(value) = args.next() else {
-                eprintln!("error: --grid needs a value (fig17, explore-tiny or explore)");
-                return ExitCode::FAILURE;
+                return usage("--grid needs a value (fig17, explore-tiny or explore)".into());
             };
             grid = value;
-        } else {
+        } else if Benchmark::all().iter().any(|b| b.name() == arg) {
             filter.push(arg);
+        } else {
+            let known = Benchmark::all().map(Benchmark::name).join(" ");
+            return usage(format!("unknown argument `{arg}` (flags: --grid; kernels: {known})"));
         }
     }
     let Some(orgs) = organizations(&grid) else {
-        eprintln!("error: unknown grid `{grid}` (expected fig17, explore-tiny or explore)");
-        return ExitCode::FAILURE;
+        return usage(format!("unknown grid `{grid}` (expected fig17, explore-tiny or explore)"));
     };
     let benchmarks: Vec<Benchmark> = Benchmark::all()
         .into_iter()
         .filter(|b| filter.is_empty() || filter.iter().any(|f| f == b.name()))
         .collect();
-    if benchmarks.is_empty() {
-        eprintln!("error: no benchmark matches {filter:?}");
-        eprintln!(
-            "known kernels: {}",
-            Benchmark::all().into_iter().map(|b| b.name().to_owned()).collect::<Vec<_>>().join(" ")
-        );
-        return ExitCode::FAILURE;
-    }
 
     let cap = ce_bench::max_insts();
     let n_orgs = orgs.len();
@@ -124,7 +121,7 @@ fn main() -> ExitCode {
     // input order regardless of completion order.
     let n = cells.len();
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Case>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..runner::threads().min(n) {
             scope.spawn(|| loop {
@@ -137,31 +134,14 @@ fn main() -> ExitCode {
         }
     });
 
-    let mut failures = 0usize;
-    for (cell, slot) in cells.iter().zip(slots) {
-        let outcome = slot.into_inner().expect("slot poisoned").expect("every slot filled");
-        let label = format!("{} x {}", cell.machine, cell.bench.name());
-        match outcome {
-            Outcome::Pass { cycles } => println!("PASS  {label:<45} ({cycles} cycles)"),
-            Outcome::Fail { optimized, oracle } => {
-                failures += 1;
-                println!("FAIL  {label}");
-                println!("      optimized: {optimized}");
-                println!("      oracle:    {oracle}");
-            }
-            Outcome::Error(e) => {
-                failures += 1;
-                println!("FAIL  {label}");
-                println!("      {e}");
-            }
-        }
-    }
-    println!();
-    if failures == 0 {
+    let mut report = Report::new("diffcheck");
+    report.cases = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot poisoned").expect("every slot filled"))
+        .collect();
+    println!("{report}");
+    if report.violations().next().is_none() {
         println!("diffcheck: all {n} cells bit-identical");
-        ExitCode::SUCCESS
-    } else {
-        println!("diffcheck: {failures}/{n} cells diverged");
-        ExitCode::FAILURE
     }
+    report.exit_code()
 }

@@ -1,24 +1,24 @@
-//! The storm campaign behind `cechaos`: a deterministic fault grid over
-//! the durability stack, plus classification machinery the binary's
-//! daemon-storm phase shares.
+//! The durability half of `cechaos`: the deterministic I/O fault grid
+//! over the durability stack (its second phase), plus the fuzz corpus
+//! its daemon storm (the third phase) replays.
 //!
 //! ## The zero-corruption contract
 //!
 //! Every fault the [`crate::iofault`] seam can inject — `ENOSPC`, `EIO`,
 //! a torn write, a failed fsync, a crash at an exact I/O boundary — must
-//! land in one of two honest outcomes:
+//! land in one of two honest verdicts (the table in [`crate::campaign`]
+//! defines every verdict):
 //!
-//! * **Detected**: the write path surfaced an error, and re-running the
-//!   workload on the damaged state directory converges to byte-identical
-//!   results.
-//! * **Masked**: no error surfaced (the fault hit redundant work, e.g. an
-//!   fsync whose durability was never subsequently needed) *and* the
-//!   final bytes still converge.
+//! * **`detected`**: the write path surfaced an error (or the process
+//!   died), and re-running the workload on the damaged state directory
+//!   converges to byte-identical results.
+//! * **`unchanged`**: no error surfaced (the fault hit redundant work,
+//!   e.g. an fsync whose durability was never subsequently needed) *and*
+//!   the final bytes still converge.
 //!
-//! What must never happen is **Silent** (no error, wrong bytes) or
-//! **Unrecovered** (error surfaced, but recovery cannot reproduce the
-//! reference bytes). [`GridReport::violations`] is the campaign gate: CI
-//! fails on a non-empty list.
+//! What must never happen is **`silent`** (no error, wrong bytes) or
+//! **`unrecovered`** (error surfaced, but recovery cannot reproduce the
+//! reference bytes); both are violations, which fail `cechaos`.
 //!
 //! ## The grid
 //!
@@ -38,137 +38,16 @@
 //! flakiness: the grid is a pure function of the workload.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ce_sim::SimStats;
 
+use crate::campaign::{Case, Verdict};
 use crate::checkpoint::{write_atomic, CheckpointSpec, Journal};
 use crate::iofault::{self, FailPlan, FaultClass};
 use crate::runner::TimedResult;
 use crate::store::ResultStore;
-
-/// How one fault case resolved against the zero-corruption contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// An error surfaced and recovery converged to the reference bytes.
-    Detected,
-    /// No error surfaced, but the bytes still converged — the fault hit
-    /// work whose loss was harmless (tolerated, reported for the record).
-    Masked,
-    /// The plan never fired: the op index lies beyond the workload's
-    /// horizon.
-    Harmless,
-    /// **Violation**: no error surfaced and the final bytes differ.
-    Silent,
-    /// **Violation**: an error surfaced but recovery could not reproduce
-    /// the reference bytes.
-    Unrecovered,
-}
-
-impl Outcome {
-    /// Whether this outcome breaks the zero-corruption contract.
-    pub fn is_violation(self) -> bool {
-        matches!(self, Outcome::Silent | Outcome::Unrecovered)
-    }
-
-    /// Stable report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Outcome::Detected => "detected",
-            Outcome::Masked => "masked",
-            Outcome::Harmless => "harmless",
-            Outcome::Silent => "SILENT-CORRUPTION",
-            Outcome::Unrecovered => "UNRECOVERED",
-        }
-    }
-}
-
-/// One grid case: which fault, where, and how it resolved.
-#[derive(Debug, Clone)]
-pub struct CaseReport {
-    /// The injected class.
-    pub class: FaultClass,
-    /// The op index it was injected at.
-    pub index: u64,
-    /// The verdict.
-    pub outcome: Outcome,
-    /// One line of evidence (the surfaced error, or the divergence).
-    pub detail: String,
-}
-
-/// The full campaign tally.
-#[derive(Debug, Clone, Default)]
-pub struct GridReport {
-    /// Every case, grid order.
-    pub cases: Vec<CaseReport>,
-    /// Fault-eligible ops in one clean workload run (the grid width).
-    pub horizon: u64,
-}
-
-impl GridReport {
-    /// Cases that broke the contract (the CI gate: must be empty).
-    pub fn violations(&self) -> Vec<&CaseReport> {
-        self.cases.iter().filter(|c| c.outcome.is_violation()).collect()
-    }
-
-    /// Cases where the fault actually fired (`Harmless` excluded).
-    pub fn fired(&self) -> usize {
-        self.cases.iter().filter(|c| c.outcome != Outcome::Harmless).count()
-    }
-
-    fn count(&self, outcome: Outcome) -> usize {
-        self.cases.iter().filter(|c| c.outcome == outcome).count()
-    }
-}
-
-/// Per-class tallies, violations spelled out as `error[chaos]` lines,
-/// and the one-line summary the smoke gate greps.
-impl fmt::Display for GridReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for class in FaultClass::ALL {
-            let of_class: Vec<&CaseReport> =
-                self.cases.iter().filter(|c| c.class == class).collect();
-            if of_class.is_empty() {
-                continue;
-            }
-            let detected =
-                of_class.iter().filter(|c| c.outcome == Outcome::Detected).count();
-            let masked = of_class.iter().filter(|c| c.outcome == Outcome::Masked).count();
-            writeln!(
-                f,
-                "chaos: {:>6}: {} case(s): {} detected, {} masked, {} beyond horizon",
-                class.name(),
-                of_class.len(),
-                detected,
-                masked,
-                of_class.iter().filter(|c| c.outcome == Outcome::Harmless).count(),
-            )?;
-        }
-        for case in self.violations() {
-            writeln!(
-                f,
-                "error[chaos]: {} at op {}: {}: {}",
-                case.class.name(),
-                case.index,
-                case.outcome.name(),
-                case.detail
-            )?;
-        }
-        write!(
-            f,
-            "chaos: {} case(s) over {} ops: {} detected, {} masked, {} harmless, \
-             {} violation(s)",
-            self.cases.len(),
-            self.horizon,
-            self.count(Outcome::Detected),
-            self.count(Outcome::Masked),
-            self.count(Outcome::Harmless),
-            self.violations().len(),
-        )
-    }
-}
 
 /// The CSV the workload writes atomically (stands in for a rendered
 /// figure table).
@@ -301,7 +180,7 @@ fn snapshot_into(
 }
 
 /// First divergence between a case's final state and the reference, if
-/// any — the evidence line for a `Silent`/`Unrecovered` verdict.
+/// any — the evidence line for a `silent` or `unrecovered` verdict.
 fn diverges(
     got: &BTreeMap<String, Vec<u8>>,
     want: &BTreeMap<String, Vec<u8>>,
@@ -348,8 +227,9 @@ pub fn run_fault_case(
     class: FaultClass,
     index: u64,
     ctx: &GridContext,
-) -> std::io::Result<CaseReport> {
+) -> std::io::Result<Case> {
     assert!(class != FaultClass::Crash, "crash cases need a subprocess");
+    let start = Instant::now();
     let dir = root.join(format!("{}-{index}", class.name()));
     let _ = std::fs::remove_dir_all(&dir);
     let (outcome, ops) =
@@ -358,21 +238,23 @@ pub fn run_fault_case(
     let surfaced = outcome.err().map(|e| e.to_string());
     let divergence = recover_and_compare(&dir, ctx)?;
     let verdict = match (fired, &surfaced, &divergence) {
-        (false, _, None) => Outcome::Harmless,
-        (true, Some(_), None) => Outcome::Detected,
-        (true, None, None) => Outcome::Masked,
-        (true, None, Some(_)) => Outcome::Silent,
-        (_, _, Some(_)) => Outcome::Unrecovered,
+        (false, _, None) => Verdict::NotFired,
+        (true, Some(_), None) => Verdict::Detected,
+        (true, None, None) => Verdict::Unchanged,
+        (true, None, Some(_)) => Verdict::Silent,
+        (_, _, Some(_)) => Verdict::Unrecovered,
     };
     let detail = divergence
         .or(surfaced)
         .unwrap_or_else(|| "no error, bytes converged".into());
-    Ok(CaseReport { class, index, outcome: verdict, detail })
+    let name = format!("op={index}");
+    Ok(Case { class: class.name(), name, verdict, detail, wall: start.elapsed() })
 }
 
 /// Classifies a crash case after the subprocess ran: `crashed` is
 /// whether the worker died abnormally (the expected result of
-/// `CE_IOFAULT=crash@K` with `K` inside the horizon).
+/// `CE_IOFAULT=crash@K` with `K` inside the horizon). The case's wall
+/// time covers the recovery alone; the subprocess ran before the call.
 ///
 /// # Errors
 ///
@@ -382,18 +264,20 @@ pub fn classify_crash_case(
     index: u64,
     crashed: bool,
     ctx: &GridContext,
-) -> std::io::Result<CaseReport> {
+) -> std::io::Result<Case> {
+    let start = Instant::now();
     let divergence = recover_and_compare(dir, ctx)?;
     let verdict = match (crashed, &divergence) {
         // A crash is its own detection: the process death is loud.
-        (true, None) => Outcome::Detected,
-        (false, None) => Outcome::Harmless,
-        (_, Some(_)) => Outcome::Unrecovered,
+        (true, None) => Verdict::Detected,
+        (false, None) => Verdict::NotFired,
+        (_, Some(_)) => Verdict::Unrecovered,
     };
     let detail = divergence.unwrap_or_else(|| {
         if crashed { "worker aborted; recovery converged".into() } else { "beyond horizon".into() }
     });
-    Ok(CaseReport { class: FaultClass::Crash, index, outcome: verdict, detail })
+    let (class, name) = (FaultClass::Crash.name(), format!("op={index}"));
+    Ok(Case { class, name, verdict, detail, wall: start.elapsed() })
 }
 
 /// The full in-process half of the grid: every non-crash class × every
@@ -403,17 +287,17 @@ pub fn classify_crash_case(
 /// # Errors
 ///
 /// Real I/O errors only.
-pub fn fault_grid(root: &Path, ctx: &GridContext) -> std::io::Result<GridReport> {
-    let mut report = GridReport { cases: Vec::new(), horizon: ctx.horizon };
+pub fn fault_grid(root: &Path, ctx: &GridContext) -> std::io::Result<Vec<Case>> {
+    let mut cases = Vec::new();
     for class in FaultClass::ALL {
         if class == FaultClass::Crash {
             continue;
         }
         for index in 0..ctx.horizon {
-            report.cases.push(run_fault_case(root, class, index, ctx)?);
+            cases.push(run_fault_case(root, class, index, ctx)?);
         }
     }
-    Ok(report)
+    Ok(cases)
 }
 
 /// The seeded protocol-fuzz corpus: `count` request lines derived from
@@ -486,7 +370,7 @@ mod tests {
 
     /// A small slice of the real grid, one case per non-crash class, at
     /// an index that is mid-workload for all of them: every fault must
-    /// resolve to Detected or Masked — never a violation.
+    /// resolve to `detected` or `unchanged` — never a violation.
     #[test]
     fn grid_slice_upholds_the_contract() {
         let dir = root("slice");
@@ -497,11 +381,11 @@ mod tests {
             for index in [0, 5, ctx.horizon - 1] {
                 let case = run_fault_case(&dir, class, index, &ctx).unwrap();
                 assert!(
-                    !case.outcome.is_violation(),
+                    !case.verdict.is_violation(),
                     "{} at {}: {} ({})",
                     class.name(),
                     index,
-                    case.outcome.name(),
+                    case.verdict.name(),
                     case.detail
                 );
             }
@@ -509,19 +393,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Beyond-horizon indices are Harmless, and the report renders the
-    /// gate lines the smoke job greps for.
+    /// Beyond-horizon indices are `not-fired`, and the report renders the
+    /// gate line the smoke job greps for.
     #[test]
-    fn beyond_horizon_is_harmless_and_reports_render() {
+    fn beyond_horizon_is_not_fired_and_reports_render() {
         let dir = root("beyond");
         let ctx = grid_context(&dir).unwrap();
         let case = run_fault_case(&dir, FaultClass::Eio, ctx.horizon + 10, &ctx).unwrap();
-        assert_eq!(case.outcome, Outcome::Harmless);
+        assert_eq!(case.verdict, Verdict::NotFired);
 
-        let report = GridReport { cases: vec![case], horizon: ctx.horizon };
+        let report = crate::campaign::Report { tool: "cechaos", cases: vec![case] };
         let text = report.to_string();
         assert!(text.contains("0 violation(s)"), "{text}");
-        assert!(report.violations().is_empty());
+        assert!(report.violations().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,21 +1,23 @@
-//! Seeded fault-injection campaign over the whole simulator stack.
+//! Seeded fault-injection campaign over the whole simulator stack, the
+//! first phase of `cechaos`.
 //!
 //! The robustness claim this repo makes is not "nothing ever fails" but
 //! "**no fault is silent**": a corrupted trace file, a config pushed to a
 //! validation boundary, or a transient scheduler fault must either be
-//! *rejected* by a validation layer, *caught* by the invariant checker,
-//! or be *provably harmless* (the observable result is unchanged). This
-//! module generates a deterministic, seeded campaign across all three
-//! fault classes and classifies every case; one [`Outcome::Silent`] case
-//! fails the campaign (and CI, via the `faultcampaign` binary).
+//! *reported* by a validation layer (the parser, the config validator,
+//! the invariant checker, panic containment) or leave a result that is
+//! provably accounted for. This module generates a deterministic, seeded
+//! campaign across all three fault classes and grades every case with a
+//! [`Verdict`] (the table in [`crate::campaign`] defines each); one
+//! `silent` case fails the campaign.
 //!
-//! | class | injector | acceptable outcomes |
+//! | class | injector | acceptable verdicts |
 //! |---|---|---|
-//! | trace corruption | [`corrupt_trace_text`] | parse error; identical parse; different-but-valid trace that simulates cleanly under the checker |
-//! | config perturbation | seeded field mutation | `validate()` rejection; clean checked run |
-//! | scheduler fault | [`FaultSpec`] gate | checker abort; deadlock/panic containment; bit-identical stats (masked) |
+//! | `trace` | [`corrupt_trace_text`] | `detected` (parse error, or the checker catches what parsed); `unchanged` (identical parse); `visible` (a different valid trace that simulates cleanly under the checker) |
+//! | `config` | seeded field mutation | `detected` (`validate()` rejection); `visible` (a clean checked run) |
+//! | `sched` | [`FaultSpec`] gate | `detected` (checker abort, deadlock or panic containment); `unchanged` (bit-identical statistics) |
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ce_sim::{machine, FaultKind, FaultSpec, SimConfig, SimError, SimStats, Simulator};
 use ce_workloads::{
@@ -24,75 +26,7 @@ use ce_workloads::{
 };
 use rand::{Rng, SeedableRng, StdRng};
 
-/// How one injected fault played out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// A validation layer (parser, config validator, invariant checker,
-    /// panic containment) rejected or caught the fault, loudly.
-    Detected,
-    /// The fault did not change the observable input or output at all.
-    Harmless,
-    /// The fault produced a *different but self-consistently valid* input
-    /// (e.g. a dropped trace line) that the stack processed cleanly — the
-    /// result legitimately differs because the input legitimately differs.
-    Visible,
-    /// The injected fault never fired (e.g. an injection cycle past the
-    /// end of the run): statistics are bit-identical to the clean run.
-    Masked,
-    /// The fault corrupted state or crashed the stack without any layer
-    /// catching it. This is the failure the campaign exists to find.
-    Silent,
-}
-
-impl Outcome {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Outcome::Detected => "detected",
-            Outcome::Harmless => "harmless",
-            Outcome::Visible => "visible",
-            Outcome::Masked => "masked",
-            Outcome::Silent => "silent",
-        }
-    }
-}
-
-/// One classified campaign case.
-#[derive(Debug, Clone)]
-pub struct CaseReport {
-    /// What was injected, e.g. `trace/bit-flip seed=7`.
-    pub name: String,
-    /// How it played out.
-    pub outcome: Outcome,
-    /// The detecting error, or what made the case harmless/visible.
-    pub detail: String,
-    /// Wall time of this case: injection, parse, and any checked runs.
-    pub wall: Duration,
-}
-
-/// The full campaign result.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Every case, in generation order.
-    pub cases: Vec<CaseReport>,
-}
-
-impl CampaignReport {
-    /// Number of cases with the given outcome.
-    pub fn count(&self, outcome: Outcome) -> usize {
-        self.cases.iter().filter(|c| c.outcome == outcome).count()
-    }
-
-    /// The silent cases — each one is a bug.
-    pub fn silent(&self) -> impl Iterator<Item = &CaseReport> {
-        self.cases.iter().filter(|c| c.outcome == Outcome::Silent)
-    }
-
-    /// Whether every fault was detected, harmless, visible, or masked.
-    pub fn is_clean(&self) -> bool {
-        self.count(Outcome::Silent) == 0
-    }
-}
+use crate::campaign::{Case, Verdict};
 
 /// Instruction cap for campaign simulations: small enough that ~100
 /// checked runs stay fast, large enough to exercise every pipeline stage.
@@ -134,37 +68,37 @@ fn checked_run(mut cfg: SimConfig, trace: &Trace) -> Result<SimStats, String> {
 
 /// Class 1: corrupt a serialized trace and prove the parser (or, for
 /// corruptions that still parse, the checked simulator) accounts for it.
-fn trace_corruption_cases(seed: u64, cases: &mut Vec<CaseReport>) {
+fn trace_corruption_cases(seed: u64, cases: &mut Vec<Case>) {
     let trace = trace_cached(Benchmark::Compress, CAMPAIGN_INSTS)
         .expect("bundled kernel traces");
     let text = format_trace(&trace);
     let cfg = machine::baseline_8way();
     for kind in TraceCorruption::ALL {
         for s in 0..12u64 {
-            let name = format!("trace/{kind} seed={s}");
             let start = Instant::now();
             let mutated = corrupt_trace_text(&text, kind, seed ^ (s << 8) ^ kind as u64);
-            let (outcome, detail) = match parse_trace(&mutated) {
-                Err(e) => (Outcome::Detected, format!("parser: {e}")),
+            let (verdict, detail) = match parse_trace(&mutated) {
+                Err(e) => (Verdict::Detected, format!("parser: {e}")),
                 Ok(parsed) if parsed == *trace => {
-                    (Outcome::Harmless, "parses to the identical trace".into())
+                    (Verdict::Unchanged, "parses to the identical trace".into())
                 }
                 Ok(parsed) => match checked_run(cfg, &parsed) {
                     Ok(_) => (
-                        Outcome::Visible,
+                        Verdict::Visible,
                         "parses to a different valid trace; checked run is clean".into(),
                     ),
                     // The checker catching a parseable-but-inconsistent
                     // trace downstream still counts as caught…
                     Err(e) if e.contains("invariant checker") => {
-                        (Outcome::Detected, format!("checker: {e}"))
+                        (Verdict::Detected, format!("checker: {e}"))
                     }
                     // …but a panic or deadlock means invalid data sailed
                     // through parse validation: exactly the silent class.
-                    Err(e) => (Outcome::Silent, format!("escaped validation: {e}")),
+                    Err(e) => (Verdict::Silent, format!("escaped validation: {e}")),
                 },
             };
-            cases.push(CaseReport { name, outcome, detail, wall: start.elapsed() });
+            let name = format!("{kind} seed={s}");
+            cases.push(Case { class: "trace", name, verdict, detail, wall: start.elapsed() });
         }
     }
 }
@@ -172,7 +106,7 @@ fn trace_corruption_cases(seed: u64, cases: &mut Vec<CaseReport>) {
 /// Class 2: perturb configuration fields toward their validation
 /// boundaries; every perturbation must be rejected by [`SimConfig::validate`]
 /// or produce a config the checked simulator handles cleanly.
-fn config_perturbation_cases(seed: u64, cases: &mut Vec<CaseReport>) {
+fn config_perturbation_cases(seed: u64, cases: &mut Vec<Case>) {
     let trace =
         trace_cached(Benchmark::Li, CAMPAIGN_INSTS).expect("bundled kernel traces");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc0f1);
@@ -233,24 +167,24 @@ fn config_perturbation_cases(seed: u64, cases: &mut Vec<CaseReport>) {
                 "operand delays"
             }
         };
-        let name = format!("config/{field} case={i}");
-        let (outcome, detail) = match cfg.validate() {
-            Err(e) => (Outcome::Detected, format!("validate: {e}")),
+        let (verdict, detail) = match cfg.validate() {
+            Err(e) => (Verdict::Detected, format!("validate: {e}")),
             Ok(()) => match checked_run(cfg, &trace) {
                 Ok(_) => {
-                    (Outcome::Harmless, "valid boundary config; checked run is clean".into())
+                    (Verdict::Visible, "valid boundary config; checked run is clean".into())
                 }
-                Err(e) => (Outcome::Silent, format!("validation accepted it, then: {e}")),
+                Err(e) => (Verdict::Silent, format!("validation accepted it, then: {e}")),
             },
         };
-        cases.push(CaseReport { name, outcome, detail, wall: start.elapsed() });
+        let name = format!("{field} case={i}");
+        cases.push(Case { class: "config", name, verdict, detail, wall: start.elapsed() });
     }
 }
 
 /// Class 3: arm the simulator's own fault gate ([`SimConfig::fault`]) and
 /// prove the invariant checker catches every fault that changes state —
-/// anything it misses must be bit-identical to the clean run (masked).
-fn scheduler_injection_cases(seed: u64, cases: &mut Vec<CaseReport>) {
+/// anything it misses must be bit-identical to the clean run.
+fn scheduler_injection_cases(seed: u64, cases: &mut Vec<Case>) {
     let trace =
         trace_cached(Benchmark::Li, CAMPAIGN_INSTS).expect("bundled kernel traces");
     let cfg = machine::baseline_8way();
@@ -262,21 +196,20 @@ fn scheduler_injection_cases(seed: u64, cases: &mut Vec<CaseReport>) {
             // Cycles spread across (and past) the run, seeded so campaigns
             // with different seeds probe different cycles.
             let at_cycle = if c == 5 { horizon } else { rng.gen_range(0..clean.cycles) };
-            let name = format!("sched/{kind} cycle={at_cycle}");
             let start = Instant::now();
             let mut faulty = cfg;
             faulty.fault = Some(FaultSpec { kind, at_cycle });
             faulty.check = true;
             faulty.validate().expect("faulty config still validates");
-            let (outcome, detail) = match contained(|| {
+            let (verdict, detail) = match contained(|| {
                 Simulator::try_new(faulty).expect("validated above").try_run(&trace)
             }) {
                 Ok(Ok(stats)) => {
                     if stats.fingerprint() == clean.fingerprint() {
-                        (Outcome::Masked, "statistics bit-identical to clean run".into())
+                        (Verdict::Unchanged, "statistics bit-identical to clean run".into())
                     } else {
                         (
-                            Outcome::Silent,
+                            Verdict::Silent,
                             format!(
                                 "fingerprint diverged undetected: {} vs {}",
                                 stats.fingerprint(),
@@ -286,18 +219,19 @@ fn scheduler_injection_cases(seed: u64, cases: &mut Vec<CaseReport>) {
                     }
                 }
                 Ok(Err(e @ SimError::Checker { .. })) => {
-                    (Outcome::Detected, format!("checker: {e}"))
+                    (Verdict::Detected, format!("checker: {e}"))
                 }
-                Ok(Err(e)) => (Outcome::Detected, format!("aborted loudly: {e}")),
+                Ok(Err(e)) => (Verdict::Detected, format!("aborted loudly: {e}")),
                 Err(msg) => {
                     if kind == FaultKind::PanicCell {
-                        (Outcome::Detected, format!("contained panic: {msg}"))
+                        (Verdict::Detected, format!("contained panic: {msg}"))
                     } else {
-                        (Outcome::Silent, format!("unexpected panic: {msg}"))
+                        (Verdict::Silent, format!("unexpected panic: {msg}"))
                     }
                 }
             };
-            cases.push(CaseReport { name, outcome, detail, wall: start.elapsed() });
+            let name = format!("{kind} cycle={at_cycle}");
+            cases.push(Case { class: "sched", name, verdict, detail, wall: start.elapsed() });
         }
     }
 }
@@ -305,25 +239,26 @@ fn scheduler_injection_cases(seed: u64, cases: &mut Vec<CaseReport>) {
 /// Runs the full campaign (118 cases: 48 trace corruptions, 40 config
 /// perturbations, 30 scheduler injections), deterministically for a given
 /// seed.
-pub fn run_campaign(seed: u64) -> CampaignReport {
+pub fn run_campaign(seed: u64) -> Vec<Case> {
     let mut cases = Vec::with_capacity(120);
     trace_corruption_cases(seed, &mut cases);
     config_perturbation_cases(seed, &mut cases);
     scheduler_injection_cases(seed, &mut cases);
-    CampaignReport { cases }
+    cases
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Report;
 
     /// The headline guarantee: a hundred-plus seeded faults across all
     /// three classes, zero silent.
     #[test]
     fn campaign_finds_no_silent_faults() {
-        let report = run_campaign(0xce);
+        let report = Report { tool: "fault", cases: run_campaign(0xce) };
         assert!(report.cases.len() >= 100, "only {} cases", report.cases.len());
-        let silent: Vec<_> = report.silent().collect();
+        let silent: Vec<_> = report.violations().collect();
         assert!(
             silent.is_empty(),
             "{} silent fault(s): {:?}",
@@ -331,24 +266,20 @@ mod tests {
             silent.iter().map(|c| format!("{}: {}", c.name, c.detail)).collect::<Vec<_>>()
         );
         // Sanity: the campaign actually exercised both detection and the
-        // benign outcomes — an all-masked campaign would prove nothing.
-        assert!(report.count(Outcome::Detected) > 20, "{report:?}");
-        assert!(
-            report.count(Outcome::Harmless)
-                + report.count(Outcome::Visible)
-                + report.count(Outcome::Masked)
-                > 0
-        );
+        // benign verdicts — an all-unchanged campaign would prove nothing.
+        let count = |v| report.cases.iter().filter(|c| c.verdict == v).count();
+        assert!(count(Verdict::Detected) > 20, "{report}");
+        assert!(count(Verdict::Unchanged) + count(Verdict::Visible) > 0);
     }
 
     #[test]
     fn campaign_is_deterministic() {
         let a = run_campaign(7);
         let b = run_campaign(7);
-        assert_eq!(a.cases.len(), b.cases.len());
-        for (x, y) in a.cases.iter().zip(&b.cases) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.outcome, y.outcome);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((x.class, &x.name), (y.class, &y.name));
+            assert_eq!(x.verdict, y.verdict);
         }
     }
 }

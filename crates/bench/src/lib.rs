@@ -34,6 +34,7 @@ use std::sync::Arc;
 use ce_workloads::{trace_cached, Benchmark, Trace};
 
 pub mod api;
+pub mod campaign;
 pub mod chaos;
 pub mod checkpoint;
 pub mod cli;

@@ -9,8 +9,9 @@
 //! - orphaned `*.tmp` files are swept at daemon startup,
 //! - `cesimd --fsck` honors its exit discipline: 0 clean, 1 corruption
 //!   found (quarantined, bytes preserved),
-//! - the `cechaos --grid-only` campaign passes end to end (the crash
-//!   column spawns real aborting subprocesses).
+//! - the `cechaos --grid-only` campaign (simulator faults, then the I/O
+//!   fault grid) passes end to end (the crash column spawns real
+//!   aborting subprocesses).
 
 #![cfg(unix)]
 
@@ -337,9 +338,10 @@ fn fsck_exit_discipline_and_quarantine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The full deterministic fault grid through the real campaign binary:
-/// every class × every op index (the crash column spawns worker
-/// subprocesses that really abort), ≥100 cases, zero violations.
+/// Both deterministic phases through the real campaign binary: the
+/// seeded simulator faults, then every I/O class × every op index (the
+/// crash column spawns worker subprocesses that really abort), ≥100
+/// grid cases, zero violations.
 #[test]
 fn cechaos_grid_campaign_passes() {
     let dir = temp_dir("grid");

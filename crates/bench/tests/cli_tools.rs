@@ -1,7 +1,8 @@
 //! Exit-code contracts of the CI gate tools (`bench_compare`,
-//! `metrics_check`): 0 pass, 1 gate failure, 2 missing/malformed input —
-//! so a workflow can distinguish "the gate tripped" from "the gate never
-//! ran".
+//! `metrics_check`, and the verification gates `diffcheck`,
+//! `sampling_check`, `delaycheck` and `cechaos`): 0 pass, 1 gate
+//! failure, 2 missing/malformed input or a usage error — so a workflow
+//! can distinguish "the gate tripped" from "the gate never ran".
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -103,4 +104,57 @@ fn metrics_check_distinguishes_validation_failures_from_broken_inputs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs a verification gate at a short cap; returns its exit code and
+/// its stdout and stderr together.
+fn gate(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .env("CE_MAX_INSTS", "20000")
+        .output()
+        .expect("gate runs");
+    let text = String::from_utf8_lossy(&out.stdout).into_owned()
+        + &String::from_utf8_lossy(&out.stderr);
+    (out.status.code(), text)
+}
+
+/// The verification gates share `ce_bench::campaign`'s exit rule: 0 no
+/// violation, 1 any violation, 2 a usage error, never the code a
+/// divergence would draw.
+#[test]
+fn verification_gates_share_one_exit_rule() {
+    let diffcheck = env!("CARGO_BIN_EXE_diffcheck");
+    let sampling = env!("CARGO_BIN_EXE_sampling_check");
+    let delaycheck = env!("CARGO_BIN_EXE_delaycheck");
+    let cechaos = env!("CARGO_BIN_EXE_cechaos");
+    let usage_errors: [(&str, &[&str]); 8] = [
+        (diffcheck, &["--grid", "nope"]),
+        (diffcheck, &["--grid"]),
+        (diffcheck, &["nosuchkernel"]),
+        (sampling, &["--bench", "nosuchkernel"]),
+        (sampling, &["--max-err", "x"]),
+        (delaycheck, &["--bogus"]),
+        (cechaos, &["--bogus"]),
+        (cechaos, &["--seed", "x"]),
+    ];
+    for (bin, args) in usage_errors {
+        let (code, text) = gate(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}:\n{text}");
+    }
+
+    // A bound no estimate can meet: exactly one kernel fails, with one
+    // error line, and the gate trips with 1.
+    let (code, text) = gate(sampling, &["--max-err", "0"]);
+    assert_eq!(code, Some(1), "{text}");
+    assert_eq!(text.lines().filter(|l| l.contains("error[")).count(), 1, "{text}");
+    assert!(text.contains("sampling_check: error[fail]: sampling compress:"), "{text}");
+
+    let (code, text) = gate(sampling, &["--max-err", "1"]);
+    assert_eq!(code, Some(0), "{text}");
+    let out = temp_dir("delaycheck").join("anchors.csv");
+    let (code, text) = gate(delaycheck, &["--out", out.to_str().expect("UTF-8 path")]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("delaycheck: 35 case(s): 35 pass, 0 violation(s)"), "{text}");
+    std::fs::remove_dir_all(out.parent().expect("temp dir")).ok();
 }

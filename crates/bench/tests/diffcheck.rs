@@ -22,9 +22,10 @@ fn explore_tiny_grid_matches_the_oracle() {
     assert!(stdout.contains("diffcheck: all 42 cells bit-identical"), "{stdout}");
 }
 
+/// A typo is a usage error (2), never the divergence code (1).
 #[test]
 fn unknown_grid_is_refused() {
     let out = diffcheck(&["--grid", "nope"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown grid `nope`"));
 }

@@ -147,8 +147,8 @@ fn primary_opcode(primary: u32) -> Option<Opcode> {
 /// Encodes an instruction into its 32-bit binary form.
 ///
 /// Immediates are truncated to their field width (16 bits for I-type, 26 for
-/// J-type); [`decode`] sign-extends them back, so round-tripping is exact for
-/// in-range values.
+/// J-type); [`decode`] extends them back as [`Instruction::imm`] documents,
+/// so round-tripping is exact for in-range values.
 pub fn encode(inst: &Instruction) -> u32 {
     let rs = (inst.rs.index() as u32) << 21;
     let rt = (inst.rt.index() as u32) << 16;
@@ -216,7 +216,17 @@ pub fn decode(word: u32) -> Result<Instruction, DecodeError> {
                 OperandClass::JumpTarget => {
                     Instruction::jump(opcode, word & 0x03FF_FFFF)
                 }
-                _ => Instruction { opcode, rd: Reg::ZERO, rs, rt, imm: imm16, shamt: 0 },
+                _ => {
+                    // As in MIPS, the logical immediates and `lui`'s are
+                    // zero-extended; every other immediate is signed.
+                    let imm = match opcode {
+                        Opcode::Andi | Opcode::Ori | Opcode::Xori | Opcode::Lui => {
+                            (word & 0xFFFF) as i32
+                        }
+                        _ => imm16,
+                    };
+                    Instruction { opcode, rd: Reg::ZERO, rs, rt, imm, shamt: 0 }
+                }
             };
             Ok(inst)
         }
@@ -252,7 +262,10 @@ mod tests {
         roundtrip(Instruction::imm(Opcode::Addiu, Reg::new(2), Reg::ZERO, -1));
         roundtrip(Instruction::imm(Opcode::Slti, Reg::new(3), Reg::new(4), 1000));
         roundtrip(Instruction::imm(Opcode::Andi, Reg::new(3), Reg::new(4), 0x7fff));
+        roundtrip(Instruction::imm(Opcode::Andi, Reg::new(3), Reg::new(4), 0xffff));
+        roundtrip(Instruction::imm(Opcode::Ori, Reg::new(3), Reg::new(3), 0xb05e));
         roundtrip(Instruction::lui(Reg::new(5), 0x1001));
+        roundtrip(Instruction::lui(Reg::new(5), 0xffff));
     }
 
     #[test]

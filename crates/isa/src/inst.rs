@@ -35,8 +35,10 @@ pub struct Instruction {
     pub rs: Reg,
     /// Second source / I-type destination register.
     pub rt: Reg,
-    /// Sign-extended immediate, branch displacement (in instructions), or
-    /// jump target word index.
+    /// The 16-bit immediate, branch displacement (in instructions), or
+    /// jump target word index. As in MIPS, the immediates of the logical
+    /// `andi`/`ori`/`xori` and of `lui` are zero-extended (`0..=0xFFFF`);
+    /// every other immediate is sign-extended.
     pub imm: i32,
     /// Constant shift amount for `sll`/`srl`/`sra`.
     pub shamt: u8,
@@ -82,7 +84,9 @@ impl Instruction {
         Instruction { opcode, rd, rs, rt, imm: 0, shamt: 0 }
     }
 
-    /// Builds an immediate ALU instruction `op rt, rs, imm`.
+    /// Builds an immediate ALU instruction `op rt, rs, imm`. `imm` is
+    /// zero-extended for `andi`/`ori`/`xori` (`0..=0xFFFF`) and signed
+    /// otherwise, as the [`imm`](Instruction::imm) field documents.
     pub fn imm(opcode: Opcode, rt: Reg, rs: Reg, imm: i32) -> Instruction {
         debug_assert_eq!(opcode.operand_class(), OperandClass::RtRsImm);
         Instruction { opcode, rd: Reg::ZERO, rs, rt, imm, shamt: 0 }

@@ -10,8 +10,9 @@
 //! [`SimError`]) or the fault provably could not have changed the
 //! machine's behaviour and the statistics fingerprint is bit-identical
 //! to an uninjected run. A fault that silently changes the fingerprint
-//! is a hole in the checker — the `faultcampaign` harness in `ce-bench`
-//! sweeps seeded fault plans asserting no such hole exists.
+//! is a hole in the checker — `cechaos`'s simulator-fault phase
+//! (`ce_bench::fault`) sweeps seeded fault plans asserting no such hole
+//! exists.
 //!
 //! With `fault: None` (the default, and every preset in
 //! [`machine`](crate::machine)) the injection paths cost one branch per

@@ -5,9 +5,9 @@
 //! clean run). A fault that completes with a *different* fingerprint is
 //! silent corruption — a checker hole — and fails this test.
 //!
-//! The seeded campaign in `ce-bench` (`faultcampaign`) sweeps this same
-//! contract over randomized fault plans; this test pins the fixed grid
-//! every CI run.
+//! The seeded campaign in `ce-bench` (`cechaos`'s simulator-fault phase)
+//! sweeps this same contract over randomized fault plans; this test pins
+//! the fixed grid every CI run.
 
 use ce_sim::{FaultKind, FaultSpec, SimError, SimStats, Simulator};
 use ce_workloads::{trace_cached, Benchmark, Trace};

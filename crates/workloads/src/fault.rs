@@ -5,12 +5,14 @@
 //! serialized trace: a flipped bit in a random byte, a truncation
 //! mid-file, a dropped line, or a duplicated line — the classic ways a
 //! trace on disk goes bad (torn writes, bad sectors, buggy producers).
-//! The fault campaign in `ce-bench` feeds the mutated text back through
+//! The fault campaign in `ce-bench` (`cechaos`'s first phase) feeds the
+//! mutated text back through
 //! [`parse_trace`](crate::trace_io::parse_trace) and asserts every
-//! corruption is either *rejected* with a line-numbered error, *visible*
-//! (it parses into a different, self-consistently valid trace — the file
-//! still means exactly what it says), or *harmless* (the bytes changed
-//! but the parsed trace did not, e.g. whitespace).
+//! corruption is either *detected* (rejected with a line-numbered
+//! error), *visible* (it parses into a different, self-consistently
+//! valid trace — the file still means exactly what it says), or
+//! *unchanged* (the bytes changed but the parsed trace did not, e.g.
+//! whitespace).
 
 use rand::{Rng, SeedableRng, StdRng};
 use std::fmt;

@@ -56,8 +56,8 @@ fn random_bytes_never_panic_the_parser() {
 
 /// Every corruption kind applied to a real benchmark trace yields either
 /// a clean parse error or a well-formed (possibly different) trace —
-/// never a panic. This is the same corpus shape the `faultcampaign`
-/// binary sweeps, run here against the parser alone.
+/// never a panic. This is the same corpus shape `cechaos`'s
+/// simulator-fault phase sweeps, run here against the parser alone.
 #[test]
 fn corrupted_real_traces_never_panic_the_parser() {
     let trace = trace_cached(Benchmark::Compress, 3_000).expect("trace");

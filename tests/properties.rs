@@ -20,6 +20,13 @@ fn arb_instruction() -> impl Strategy<Value = Instruction> {
             .prop_map(|(d, t, s)| Instruction::shift(Opcode::Sll, d, t, s)),
         (reg.clone(), reg.clone(), -32768i32..32768)
             .prop_map(|(t, s, imm)| Instruction::imm(Opcode::Addiu, t, s, imm)),
+        (reg.clone(), reg.clone(), 0i32..65536)
+            .prop_map(|(t, s, imm)| Instruction::imm(Opcode::Andi, t, s, imm)),
+        (reg.clone(), reg.clone(), 0i32..65536)
+            .prop_map(|(t, s, imm)| Instruction::imm(Opcode::Ori, t, s, imm)),
+        (reg.clone(), reg.clone(), 0i32..65536)
+            .prop_map(|(t, s, imm)| Instruction::imm(Opcode::Xori, t, s, imm)),
+        (reg.clone(), 0i32..65536).prop_map(|(t, imm)| Instruction::lui(t, imm)),
         (reg.clone(), reg.clone(), -32768i32..32768)
             .prop_map(|(t, s, imm)| Instruction::mem(Opcode::Lw, t, imm, s)),
         (reg.clone(), reg.clone(), -32768i32..32768)
