@@ -1,14 +1,15 @@
 //! The typed host-API boundary between experiment front-ends.
 //!
-//! Three front-ends run sweeps: the per-figure CLI binaries
+//! Four front-ends run sweeps: the per-figure CLI binaries
 //! (`fig13_ipc`, `fig15_clustered`, …), the `ce-explore` design-space
-//! explorer, and the `cesimd` experiment service. They must be *provably
-//! the same computation* — the acceptance bar is byte-identical CSVs no
-//! matter which front door a sweep came through. This module is how:
-//! every preset's job grid, [`RunOptions`], and CSV renderer lives here
-//! exactly once, and the wire types ([`JobSpec`], [`JobEvent`],
-//! [`JobOutcome`]) the daemon and `cesimctl` exchange resolve onto those
-//! same plans.
+//! explorer, `make_report`, and the `cesimd` experiment service. They
+//! must be *provably the same computation* — the acceptance bar is
+//! byte-identical CSVs no matter which front door a sweep came through.
+//! This module is how: every preset's job grid, [`RunOptions`], and CSV
+//! renderer lives here exactly once (the three CLI front-ends run them
+//! through one driver, [`crate::cli::drive`]), and the wire types
+//! ([`JobSpec`], [`JobEvent`], [`JobOutcome`]) the daemon and `cesimctl`
+//! exchange resolve onto those same plans.
 //!
 //! ## Wire protocol (newline-delimited JSON over a Unix socket)
 //!
@@ -148,13 +149,7 @@ pub fn plan(kind: SweepKind) -> SweepPlan {
         }
         SweepKind::ExploreTiny | SweepKind::ExploreFull => {
             let scale = explore_scale(kind).expect("explore kind");
-            SweepPlan {
-                jobs: explore::explore_jobs(scale),
-                run: RunOptions {
-                    sampled: Some(SamplingConfig::default()),
-                    ..RunOptions::default()
-                },
-            }
+            SweepPlan { jobs: explore::explore_jobs(scale), run: explore::run_options(false) }
         }
     }
 }
@@ -182,21 +177,26 @@ pub fn fig13_csv(summary: &SweepSummary) -> String {
     csv
 }
 
+/// The Section 5.5 clock-adjusted speedup of each kernel's Figure 15
+/// pair at 0.18 µm, in benchmark order.
+pub fn fig15_speedups(summary: &SweepSummary) -> Vec<Speedup> {
+    let tech = Technology::new(FeatureSize::U018);
+    let ipcs: Vec<f64> = summary.ok_cells().map(|r| r.stats.ipc()).collect();
+    ipcs.chunks(2)
+        .map(|pair| {
+            Speedup::combine(&tech, MachineSpec::paper_dependence_machine(), pair[0], pair[1])
+        })
+        .collect()
+}
+
 /// `results/fig15_clustered.csv`, byte-for-byte what the
 /// `fig15_clustered` binary writes.
 pub fn fig15_csv(summary: &SweepSummary) -> String {
-    let tech = Technology::new(FeatureSize::U018);
     let mut csv = String::from("benchmark,window_ipc,clustered_ipc,ic_bypass_pct,speedup\n");
     let mut results = summary.ok_cells().map(|r| &r.stats);
-    for bench in Benchmark::all() {
+    for (bench, s) in Benchmark::all().into_iter().zip(fig15_speedups(summary)) {
         let win = results.next().expect("window cell");
         let dep = results.next().expect("clustered cell");
-        let s = Speedup::combine(
-            &tech,
-            MachineSpec::paper_dependence_machine(),
-            win.ipc(),
-            dep.ipc(),
-        );
         let _ = writeln!(
             csv,
             "{},{:.3},{:.3},{:.1},{:.3}",
@@ -208,6 +208,18 @@ pub fn fig15_csv(summary: &SweepSummary) -> String {
         );
     }
     csv
+}
+
+/// The short column label of a Figure 17 organization in console tables.
+pub fn fig17_short_name(name: &str) -> &str {
+    match name {
+        "1-cluster.1window" => "ideal",
+        "2-cluster.FIFOs.dispatch_steer" => "fifo-disp",
+        "2-cluster.windows.dispatch_steer" => "win-disp",
+        "2-cluster.1window.exec_steer" => "exec-steer",
+        "2-cluster.windows.random_steer" => "random",
+        other => other,
+    }
 }
 
 /// `results/fig17_organizations.csv`, byte-for-byte what the
@@ -232,8 +244,8 @@ pub fn fig17_csv(summary: &SweepSummary) -> String {
     csv
 }
 
-/// `results/occupancy.csv`, byte-for-byte what the `occupancy` binary
-/// writes.
+/// The `occupancy` binary's CSV (`results/occupancy.csv` by default;
+/// not committed).
 pub fn occupancy_csv(summary: &SweepSummary) -> String {
     let machines = occupancy_machines();
     let mut csv = String::from(
@@ -263,6 +275,40 @@ pub fn occupancy_csv(summary: &SweepSummary) -> String {
                 pct(StallCause::FifoHeadNotReady),
                 pct(StallCause::EmptyWindow)
             );
+        }
+    }
+    csv
+}
+
+/// `results/stall_report.csv` from the [`SweepKind::Fig17`] plan: per
+/// cell, cycles, issued and issue slots, the used-slot share, and the
+/// issue slots charged to each stall cause.
+pub fn stall_report_csv(summary: &SweepSummary) -> String {
+    let mut csv = String::from("benchmark,machine,cycles,issued,issue_slots,used_pct");
+    for cause in StallCause::ALL {
+        let _ = write!(csv, ",{}", cause.key());
+    }
+    csv.push('\n');
+    let machines = machine::figure17_machines();
+    let mut results = summary.ok_cells().map(|r| &r.stats);
+    for bench in Benchmark::all() {
+        for (name, cfg) in &machines {
+            let stats = results.next().expect("one result per cell");
+            let slots = cfg.issue_width as u64 * stats.cycles;
+            let _ = write!(
+                csv,
+                "{},{},{},{},{},{:.2}",
+                bench.name(),
+                name,
+                stats.cycles,
+                stats.issued,
+                slots,
+                stats.issued as f64 / slots as f64 * 100.0
+            );
+            for cause in StallCause::ALL {
+                let _ = write!(csv, ",{}", stats.stall_breakdown.get(cause));
+            }
+            csv.push('\n');
         }
     }
     csv

@@ -13,12 +13,12 @@
 //! * `results/pareto.manifest.json` — the content-addressed run manifest
 //!   vouching for both CSVs (see `ce_bench::manifest`).
 //!
-//! The IPC sweep checkpoints next to the output CSV; kill it at any point
-//! and rerun with `--resume` for byte-identical results. On any cell
-//! failure neither CSV is written and the journal is kept, matching every
-//! other sweep binary. The shared observability flags (`--telemetry`,
-//! `--trace-out`, `--manifest`, `--progress`, `--quiet`) behave exactly
-//! as in the sweep binaries.
+//! It runs through the sweep driver every sweep binary shares
+//! (`ce_bench::cli::drive`), with `explore::explore` as its sweep: the
+//! IPC sweep checkpoints next to the output CSV (kill it at any point and
+//! rerun with `--resume` for byte-identical results), a cell failure
+//! writes neither CSV and keeps the journal, and the shared
+//! observability flags behave as everywhere else.
 //!
 //! ```text
 //! usage: [--out PATH] [--resume] [--full] [--grid tiny|full]
@@ -28,98 +28,51 @@
 
 use std::process::ExitCode;
 
-use ce_bench::checkpoint::write_atomic;
-use ce_bench::cli::ExploreArgs;
+use ce_bench::api::SweepPlan;
+use ce_bench::cli::{self, SweepArgs};
 use ce_bench::explore::{
-    explore, explore_jobs, pareto_csv, row_census, tab02_explore_csv, tab02_path,
-    ExploreOptions,
+    self, explore, explore_jobs, pareto_csv, row_census, tab02_explore_csv, ExploreOptions,
+    GridScale,
 };
-use ce_bench::manifest;
+use ce_bench::runner::SweepOptions;
 
 fn main() -> ExitCode {
-    let args = ExploreArgs::parse();
-    let max_insts = ce_bench::max_insts();
-    let jobs = explore_jobs(args.grid);
-    let telemetry = match args.obs.telemetry("ce-explore", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ce-explore: error: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match explore(&ExploreOptions {
-        scale: args.grid,
-        exact: args.full,
-        max_insts,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-    }) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("ce-explore: error: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(summary) = &report.summary {
-        if summary.resumed > 0 && !args.obs.quiet {
-            eprintln!(
-                "ce-explore: resumed {} of {} cells from {}",
-                summary.resumed,
-                summary.cells.len(),
-                args.checkpoint().path.display()
-            );
-        }
-        if !summary.failures.is_empty() {
-            for failure in &summary.failures {
-                eprintln!("ce-explore: error: {failure}");
+    let (mut scale, mut exact) = (GridScale::Full, false);
+    let args = SweepArgs::parse_with(
+        explore::DEFAULT_OUT,
+        "[--full] [--grid tiny|full] ",
+        |flag, rest| {
+            match flag {
+                "--full" => exact = true,
+                "--grid" => {
+                    scale = rest
+                        .next()
+                        .ok_or("--grid needs a scale argument (tiny|full)")?
+                        .parse()?;
+                }
+                _ => return Ok(false),
             }
+            Ok(true)
+        },
+    );
+    let plan = SweepPlan { jobs: explore_jobs(scale), run: explore::run_options(exact) };
+    let sweep = |max_insts, opts: SweepOptions| {
+        let (checkpoint, telemetry) = (opts.checkpoint, opts.telemetry);
+        explore(&ExploreOptions { scale, exact, max_insts, checkpoint, telemetry })
+    };
+    cli::drive("ce-explore", &args, &plan, sweep, |report| {
+        if !args.obs.quiet {
+            let (ok, skip_delay, skip_sim) = row_census(report);
             eprintln!(
-                "ce-explore: {} of {} cells failed; no CSV written, checkpoint kept for --resume",
-                summary.failures.len(),
-                summary.cells.len()
+                "ce-explore: {} design points × 3 technologies: {ok} scored, \
+                 {skip_delay} skip-delay, {skip_sim} skip-sim ({} mode)",
+                report.points.len(),
+                if report.sampled { "sampled" } else { "exact" }
             );
-            return ExitCode::from(1);
         }
-    }
-
-    let tab02_out = tab02_path(&args.out);
-    for (path, csv) in [(&args.out, pareto_csv(&report)), (&tab02_out, tab02_explore_csv(&report))]
-    {
-        if let Err(e) = write_atomic(path, &csv) {
-            eprintln!("ce-explore: error[io]: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !args.obs.quiet {
-            eprintln!("ce-explore: wrote {}", path.display());
-        }
-    }
-    if let Some(summary) = &report.summary {
-        let manifest_out = args.obs.manifest_path(&args.out);
-        if let Err(e) = manifest::write_manifest(
-            &manifest_out,
-            "ce-explore",
-            &report.jobs,
-            max_insts,
-            report.run,
-            summary,
-            &[&args.out, &tab02_out],
-        ) {
-            eprintln!("ce-explore: error[io]: manifest: {e}");
-            return ExitCode::from(2);
-        }
-        if !args.obs.quiet {
-            eprintln!("ce-explore: wrote {}", manifest_out.display());
-        }
-    }
-    if !args.obs.quiet {
-        let (ok, skip_delay, skip_sim) = row_census(&report);
-        eprintln!(
-            "ce-explore: {} design points × 3 technologies: {ok} scored, \
-             {skip_delay} skip-delay, {skip_sim} skip-sim ({} mode)",
-            report.points.len(),
-            if report.sampled { "sampled" } else { "exact" }
-        );
-    }
-    ExitCode::SUCCESS
+        vec![
+            ("pareto.csv".into(), pareto_csv(report)),
+            ("tab02_explore.csv".into(), tab02_explore_csv(report)),
+        ]
+    })
 }

@@ -20,75 +20,50 @@
 use std::process::ExitCode;
 
 use ce_bench::api::{self, SweepKind};
-use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, SweepOptions};
+use ce_bench::cli::{self, SweepArgs};
+use ce_bench::runner::SweepSummary;
 use ce_sim::StallCause;
 use ce_workloads::Benchmark;
 
 fn main() -> ExitCode {
     let args = SweepArgs::parse("results/fig13_ipc.csv");
-    // The computation (grid + options) and the CSV renderer come from the
-    // shared api plan, so this binary and the cesimd service provably
-    // produce the same bytes.
-    let machines = api::fig13_machines();
-    let plan = api::plan(SweepKind::Fig13);
-    let jobs = plan.jobs;
-    let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("fig13_ipc", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig13_ipc: error[io]: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: plan.run,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("fig13_ipc: error[io]: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::drive_plan("fig13_ipc", &args, &api::plan(SweepKind::Fig13), |summary| {
+        print_table(summary);
+        api::preset_artifacts(SweepKind::Fig13, summary)
+    })
+}
 
-    let mut csv = String::new();
-    if summary.all_ok() {
-        csv = api::fig13_csv(&summary);
-        println!("Figure 13: IPC, baseline window vs dependence-based FIFOs (8-way)");
+fn print_table(summary: &SweepSummary) {
+    let machines = api::fig13_machines();
+    println!("Figure 13: IPC, baseline window vs dependence-based FIFOs (8-way)");
+    println!(
+        "{:<10} {:>10} {:>12} {:>12} {:>10}",
+        "benchmark", "window", "dependence", "degradation", "fifohead"
+    );
+    ce_bench::rule(59);
+    let mut results = summary.ok_cells().map(|r| &r.stats);
+    let fifo_width = machines[1].1.issue_width as u64;
+    let mut degradations = Vec::new();
+    for bench in Benchmark::all() {
+        let win = results.next().expect("window cell");
+        let dep = results.next().expect("fifos cell");
+        let degradation = (1.0 - dep.ipc() / win.ipc()) * 100.0;
+        degradations.push(degradation);
+        let fifo_head = dep.stall_breakdown.get(StallCause::FifoHeadNotReady) as f64
+            / (fifo_width * dep.cycles) as f64
+            * 100.0;
         println!(
-            "{:<10} {:>10} {:>12} {:>12} {:>10}",
-            "benchmark", "window", "dependence", "degradation", "fifohead"
+            "{:<10} {:>10.3} {:>12.3} {:>11.1}% {:>9.1}%",
+            bench.name(),
+            win.ipc(),
+            dep.ipc(),
+            degradation,
+            fifo_head
         );
-        ce_bench::rule(59);
-        let mut results = summary.ok_cells().map(|r| &r.stats);
-        let fifo_width = machines[1].1.issue_width as u64;
-        let mut degradations = Vec::new();
-        for bench in Benchmark::all() {
-            let win = results.next().expect("window cell");
-            let dep = results.next().expect("fifos cell");
-            let degradation = (1.0 - dep.ipc() / win.ipc()) * 100.0;
-            degradations.push(degradation);
-            let fifo_head = dep.stall_breakdown.get(StallCause::FifoHeadNotReady) as f64
-                / (fifo_width * dep.cycles) as f64
-                * 100.0;
-            println!(
-                "{:<10} {:>10.3} {:>12.3} {:>11.1}% {:>9.1}%",
-                bench.name(),
-                win.ipc(),
-                dep.ipc(),
-                degradation,
-                fifo_head
-            );
-        }
-        let mean = degradations.iter().sum::<f64>() / degradations.len() as f64;
-        let max = degradations.iter().cloned().fold(f64::MIN, f64::max);
-        println!();
-        println!("mean degradation {mean:.1}%, max {max:.1}% (paper: most <5%, max 8%)");
-        println!();
     }
-    finish_sweep("fig13_ipc", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    let mean = degradations.iter().sum::<f64>() / degradations.len() as f64;
+    let max = degradations.iter().cloned().fold(f64::MIN, f64::max);
+    println!();
+    println!("mean degradation {mean:.1}%, max {max:.1}% (paper: most <5%, max 8%)");
+    println!();
 }

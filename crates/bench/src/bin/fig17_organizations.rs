@@ -12,121 +12,86 @@
 use std::process::ExitCode;
 
 use ce_bench::api::{self, SweepKind};
-use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, SweepOptions};
+use ce_bench::cli::{self, SweepArgs};
+use ce_bench::runner::SweepSummary;
 use ce_sim::{machine, StallCause};
 use ce_workloads::Benchmark;
 
 fn main() -> ExitCode {
     let args = SweepArgs::parse("results/fig17_organizations.csv");
-    let machines = machine::figure17_machines();
-    // Grid, options, and the CSV renderer come from the shared api plan
-    // (see `ce_bench::api`): this binary and cesimd emit the same bytes.
-    let plan = api::plan(SweepKind::Fig17);
-    let jobs = plan.jobs;
-    let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("fig17_organizations", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig17_organizations: error[io]: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: plan.run,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("fig17_organizations: error[io]: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut csv = String::new();
-    if summary.all_ok() {
-        csv = api::fig17_csv(&summary);
-        println!("Figure 17 (top): IPC of clustered organizations");
-        print!("{:<10}", "benchmark");
-        for (name, _) in &machines {
-            print!(" {:>13}", short(name));
-        }
-        println!();
-        ce_bench::rule(10 + machines.len() * 14);
-
-        let mut results = summary.ok_cells().map(|r| &r.stats);
-        let mut freqs: Vec<Vec<f64>> = Vec::new();
-        let mut xcluster: Vec<Vec<f64>> = Vec::new();
-        for bench in Benchmark::all() {
-            print!("{:<10}", bench.name());
-            let mut row = Vec::new();
-            let mut xrow = Vec::new();
-            for (_, cfg) in &machines {
-                let stats = results.next().expect("one result per cell");
-                print!(" {:>13.3}", stats.ipc());
-                row.push(stats.intercluster_bypass_frequency() * 100.0);
-                let slots = cfg.issue_width as u64 * stats.cycles;
-                xrow.push(
-                    stats.stall_breakdown.get(StallCause::InterclusterWait) as f64
-                        / slots as f64
-                        * 100.0,
-                );
-            }
-            println!();
-            freqs.push(row);
-            xcluster.push(xrow);
-        }
-
-        println!();
-        println!("Figure 17 (bottom): inter-cluster bypass frequency (%)");
-        print!("{:<10}", "benchmark");
-        for (name, _) in &machines {
-            print!(" {:>13}", short(name));
-        }
-        println!();
-        ce_bench::rule(10 + machines.len() * 14);
-        for (bench, row) in Benchmark::all().into_iter().zip(&freqs) {
-            print!("{:<10}", bench.name());
-            for f in row {
-                print!(" {:>12.1}%", f);
-            }
-            println!();
-        }
-        println!();
-        println!("Stall attribution: issue slots lost waiting on inter-cluster bypass (%)");
-        print!("{:<10}", "benchmark");
-        for (name, _) in &machines {
-            print!(" {:>13}", short(name));
-        }
-        println!();
-        ce_bench::rule(10 + machines.len() * 14);
-        for (bench, row) in Benchmark::all().into_iter().zip(&xcluster) {
-            print!("{:<10}", bench.name());
-            for x in row {
-                print!(" {:>12.1}%", x);
-            }
-            println!();
-        }
-
-        println!();
-        println!("Paper shape: random steering degrades 17-26% vs ideal and shows the highest");
-        println!("inter-cluster traffic (up to ~35%); exec-driven steering is within ~6% of ideal;");
-        println!("both dispatch-steered organizations sit in between.");
-        println!();
-    }
-    finish_sweep("fig17_organizations", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    cli::drive_plan("fig17_organizations", &args, &api::plan(SweepKind::Fig17), |summary| {
+        print_table(summary);
+        api::preset_artifacts(SweepKind::Fig17, summary)
+    })
 }
 
-fn short(name: &str) -> &str {
-    match name {
-        "1-cluster.1window" => "ideal",
-        "2-cluster.FIFOs.dispatch_steer" => "fifo-disp",
-        "2-cluster.windows.dispatch_steer" => "win-disp",
-        "2-cluster.1window.exec_steer" => "exec-steer",
-        "2-cluster.windows.random_steer" => "random",
-        other => other,
+fn print_table(summary: &SweepSummary) {
+    let machines = machine::figure17_machines();
+    println!("Figure 17 (top): IPC of clustered organizations");
+    print!("{:<10}", "benchmark");
+    for (name, _) in &machines {
+        print!(" {:>13}", api::fig17_short_name(name));
     }
+    println!();
+    ce_bench::rule(10 + machines.len() * 14);
+
+    let mut results = summary.ok_cells().map(|r| &r.stats);
+    let mut freqs: Vec<Vec<f64>> = Vec::new();
+    let mut xcluster: Vec<Vec<f64>> = Vec::new();
+    for bench in Benchmark::all() {
+        print!("{:<10}", bench.name());
+        let mut row = Vec::new();
+        let mut xrow = Vec::new();
+        for (_, cfg) in &machines {
+            let stats = results.next().expect("one result per cell");
+            print!(" {:>13.3}", stats.ipc());
+            row.push(stats.intercluster_bypass_frequency() * 100.0);
+            let slots = cfg.issue_width as u64 * stats.cycles;
+            xrow.push(
+                stats.stall_breakdown.get(StallCause::InterclusterWait) as f64
+                    / slots as f64
+                    * 100.0,
+            );
+        }
+        println!();
+        freqs.push(row);
+        xcluster.push(xrow);
+    }
+
+    println!();
+    println!("Figure 17 (bottom): inter-cluster bypass frequency (%)");
+    print!("{:<10}", "benchmark");
+    for (name, _) in &machines {
+        print!(" {:>13}", api::fig17_short_name(name));
+    }
+    println!();
+    ce_bench::rule(10 + machines.len() * 14);
+    for (bench, row) in Benchmark::all().into_iter().zip(&freqs) {
+        print!("{:<10}", bench.name());
+        for f in row {
+            print!(" {:>12.1}%", f);
+        }
+        println!();
+    }
+    println!();
+    println!("Stall attribution: issue slots lost waiting on inter-cluster bypass (%)");
+    print!("{:<10}", "benchmark");
+    for (name, _) in &machines {
+        print!(" {:>13}", api::fig17_short_name(name));
+    }
+    println!();
+    ce_bench::rule(10 + machines.len() * 14);
+    for (bench, row) in Benchmark::all().into_iter().zip(&xcluster) {
+        print!("{:<10}", bench.name());
+        for x in row {
+            print!(" {:>12.1}%", x);
+        }
+        println!();
+    }
+
+    println!();
+    println!("Paper shape: random steering degrades 17-26% vs ideal and shows the highest");
+    println!("inter-cluster traffic (up to ~35%); exec-driven steering is within ~6% of ideal;");
+    println!("both dispatch-steered organizations sit in between.");
+    println!();
 }

@@ -22,91 +22,67 @@
 use std::process::ExitCode;
 
 use ce_bench::api::{self, SweepKind};
-use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, SweepOptions};
+use ce_bench::cli::{self, SweepArgs};
+use ce_bench::runner::SweepSummary;
 use ce_sim::StallCause;
 use ce_workloads::Benchmark;
 
 fn main() -> ExitCode {
     let args = SweepArgs::parse("results/occupancy.csv");
-    // Grid, options, and the CSV renderer come from the shared api plan
-    // (see `ce_bench::api`): this binary and cesimd emit the same bytes.
-    let machines = api::occupancy_machines();
-    let plan = api::plan(SweepKind::Occupancy);
-    let jobs = plan.jobs;
-    let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("occupancy", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("occupancy: error[io]: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: plan.run,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("occupancy: error[io]: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::drive_plan("occupancy", &args, &api::plan(SweepKind::Occupancy), |summary| {
+        print_table(summary);
+        api::preset_artifacts(SweepKind::Occupancy, summary)
+    })
+}
 
-    let mut csv = String::new();
-    if summary.all_ok() {
-        csv = api::occupancy_csv(&summary);
-        println!("Scheduler occupancy, dispatch stalls, and issue-slot attribution");
-        println!(
-            "{:<10} {:<11} {:>8} {:>10} {:>12} {:>10} {:>9} {:>8} {:>8} {:>9} {:>7}",
-            "benchmark",
-            "machine",
-            "IPC",
-            "occupancy",
-            "sched-stall",
-            "inflight",
-            "preg",
-            "idle",
-            "operand",
-            "fifohead",
-            "empty"
-        );
-        ce_bench::rule(112);
-        let mut results = summary.ok_cells().map(|r| &r.stats);
-        for bench in Benchmark::all() {
-            for (name, cfg) in &machines {
-                let stats = results.next().expect("one result per cell");
-                let slots = cfg.issue_width as u64 * stats.cycles;
-                let pct = |cause: StallCause| {
-                    stats.stall_breakdown.get(cause) as f64 / slots as f64 * 100.0
-                };
-                println!(
-                    "{:<10} {:<11} {:>8.3} {:>10.1} {:>12} {:>10} {:>9} {:>7.1}% {:>7.1}% {:>8.1}% {:>6.1}%",
-                    bench.name(),
-                    name,
-                    stats.ipc(),
-                    stats.mean_occupancy(),
-                    stats.scheduler_stalls,
-                    stats.inflight_stalls,
-                    stats.preg_stalls,
-                    stats.idle_issue_fraction() * 100.0,
-                    pct(StallCause::OperandWait),
-                    pct(StallCause::FifoHeadNotReady),
-                    pct(StallCause::EmptyWindow)
-                );
-            }
+fn print_table(summary: &SweepSummary) {
+    let machines = api::occupancy_machines();
+    println!("Scheduler occupancy, dispatch stalls, and issue-slot attribution");
+    println!(
+        "{:<10} {:<11} {:>8} {:>10} {:>12} {:>10} {:>9} {:>8} {:>8} {:>9} {:>7}",
+        "benchmark",
+        "machine",
+        "IPC",
+        "occupancy",
+        "sched-stall",
+        "inflight",
+        "preg",
+        "idle",
+        "operand",
+        "fifohead",
+        "empty"
+    );
+    ce_bench::rule(112);
+    let mut results = summary.ok_cells().map(|r| &r.stats);
+    for bench in Benchmark::all() {
+        for (name, cfg) in &machines {
+            let stats = results.next().expect("one result per cell");
+            let slots = cfg.issue_width as u64 * stats.cycles;
+            let pct = |cause: StallCause| {
+                stats.stall_breakdown.get(cause) as f64 / slots as f64 * 100.0
+            };
+            println!(
+                "{:<10} {:<11} {:>8.3} {:>10.1} {:>12} {:>10} {:>9} {:>7.1}% {:>7.1}% {:>8.1}% {:>6.1}%",
+                bench.name(),
+                name,
+                stats.ipc(),
+                stats.mean_occupancy(),
+                stats.scheduler_stalls,
+                stats.inflight_stalls,
+                stats.preg_stalls,
+                stats.idle_issue_fraction() * 100.0,
+                pct(StallCause::OperandWait),
+                pct(StallCause::FifoHeadNotReady),
+                pct(StallCause::EmptyWindow)
+            );
         }
-        println!();
-        println!("The FIFO organizations run at lower mean occupancy for the same window");
-        println!("capacity — chains serialize issue — and take scheduler stalls the");
-        println!("flexible window never sees. That is the IPC price of head-only wakeup,");
-        println!("and Section 5.3's point is that the faster clock more than pays for it.");
-        println!("The `fifohead` column is that price in issue slots; `operand` is true");
-        println!("dataflow latency, which no scheduler organization can recover.");
-        println!();
     }
-    finish_sweep("occupancy", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    println!();
+    println!("The FIFO organizations run at lower mean occupancy for the same window");
+    println!("capacity — chains serialize issue — and take scheduler stalls the");
+    println!("flexible window never sees. That is the IPC price of head-only wakeup,");
+    println!("and Section 5.3's point is that the faster clock more than pays for it.");
+    println!("The `fifohead` column is that price in issue slots; `operand` is true");
+    println!("dataflow latency, which no scheduler organization can recover.");
+    println!();
 }

@@ -1,10 +1,12 @@
 //! Sections 5.3/5.5 bottom line: combining the clock-period models with
 //! the measured IPCs into the paper's headline speedup numbers.
 
-use ce_core::analysis::{mean_improvement, MachineSpec, Speedup};
+use ce_bench::api::{self, SweepKind};
+use ce_bench::runner;
+use ce_core::analysis::mean_improvement;
 use ce_delay::pipeline::ClockComparison;
 use ce_delay::Technology;
-use ce_sim::{machine, Simulator};
+use ce_workloads::Benchmark;
 
 fn main() {
     println!("Clock-period comparison (Section 5.3/5.5)");
@@ -28,20 +30,14 @@ fn main() {
     println!("(paper at 0.18 um: ratio 1.25, optimistic rename-limited improvement 39%)");
     println!();
 
-    let tech = Technology::all()[2];
+    // The per-kernel speedups are the Figure 15 sweep's (at 0.18 um).
+    let plan = api::plan(SweepKind::Fig15);
+    let fig15 = runner::run_sweep(&plan.jobs, ce_bench::max_insts(), plan.run);
+    let speedups = api::fig15_speedups(&fig15);
     println!("Per-benchmark clock-adjusted speedup, 2x4-way dependence-based vs 8-way window:");
     println!("{:<10} {:>9} {:>9} {:>9} {:>12}", "benchmark", "IPC win", "IPC dep", "speedup", "improvement");
     ce_bench::rule(54);
-    let mut speedups = Vec::new();
-    for (bench, trace) in ce_bench::load_all_traces() {
-        let win = Simulator::new(machine::baseline_8way()).run(&trace);
-        let dep = Simulator::new(machine::clustered_fifos_8way()).run(&trace);
-        let s = Speedup::combine(
-            &tech,
-            MachineSpec::paper_dependence_machine(),
-            win.ipc(),
-            dep.ipc(),
-        );
+    for (bench, s) in Benchmark::all().into_iter().zip(&speedups) {
         println!(
             "{:<10} {:>9.3} {:>9.3} {:>8.2}x {:>11.1}%",
             bench.name(),
@@ -50,7 +46,6 @@ fn main() {
             s.speedup,
             s.improvement() * 100.0
         );
-        speedups.push(s);
     }
     println!();
     println!(

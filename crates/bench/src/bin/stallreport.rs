@@ -17,119 +17,67 @@
 //! killed run restarted with `--resume` re-simulates only unfinished
 //! cells and writes a byte-identical CSV.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, RunOptions, SweepOptions};
+use ce_bench::api::{self, SweepKind};
+use ce_bench::cli::{self, SweepArgs};
+use ce_bench::runner::SweepSummary;
 use ce_sim::{machine, StallCause};
 use ce_workloads::Benchmark;
 
 fn main() -> ExitCode {
     let args = SweepArgs::parse("results/stall_report.csv");
-    let machines = machine::figure17_machines();
-    let jobs = runner::grid(&machines);
-    let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("stallreport", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("stallreport: error: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: RunOptions { attribution: true, ..RunOptions::default() },
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("stallreport: error: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut csv = String::from("benchmark,machine,cycles,issued,issue_slots,used_pct");
-    for cause in StallCause::ALL {
-        let _ = write!(csv, ",{}", cause.key());
-    }
-    csv.push('\n');
-
-    if summary.all_ok() {
-        println!("Issue-slot stall attribution (% of issue slots = width x cycles)");
-        let mut cells = summary.ok_cells();
-        for bench in Benchmark::all() {
-            println!();
-            println!("{}:", bench.name());
-            print!("{:<12} {:>6}", "machine", "used");
-            for cause in StallCause::ALL {
-                print!(" {:>9}", cause.short());
-            }
-            println!();
-            ce_bench::rule(12 + 7 + StallCause::COUNT * 10);
-            for (name, cfg) in &machines {
-                let cell = cells.next().expect("one result per cell");
-                let stats = &cell.stats;
-                let slots = cfg.issue_width as u64 * stats.cycles;
-                assert!(
-                    stats.stall_breakdown.reconciles(cfg.issue_width, stats.cycles, stats.issued),
-                    "{bench}/{name}: attribution does not reconcile"
-                );
-                let pct = |n: u64| n as f64 / slots as f64 * 100.0;
-                print!("{:<12} {:>5.1}%", short(name), pct(stats.issued));
-                for cause in StallCause::ALL {
-                    print!(" {:>8.1}%", pct(stats.stall_breakdown.get(cause)));
-                }
-                println!();
-
-                let _ = write!(
-                    csv,
-                    "{},{},{},{},{},{:.2}",
-                    bench.name(),
-                    name,
-                    stats.cycles,
-                    stats.issued,
-                    slots,
-                    pct(stats.issued)
-                );
-                for cause in StallCause::ALL {
-                    let _ = write!(csv, ",{}", stats.stall_breakdown.get(cause));
-                }
-                csv.push('\n');
-            }
-        }
-
-        println!();
-        println!(
-            "Reading: the FIFO organizations trade `operand` waits for `fifohead` waits —");
-        println!("ready instructions shadowed behind unready FIFO heads — and the clustered");
-        println!("machines add `xcluster` slots, issue stalled only by the extra bypass cycle.");
-
-        println!();
-        println!(
-            "sweep: {} cells in {:.2}s wall ({:.2}s summed serial, cells {:.0}-{:.0} ms), \
-             {:.2} Mcycles/s aggregate",
-            summary.cells.len(),
-            summary.sweep_wall.as_secs_f64(),
-            summary.serial_cell_wall.as_secs_f64(),
-            summary.min_cell_wall.as_secs_f64() * 1e3,
-            summary.max_cell_wall.as_secs_f64() * 1e3,
-            summary.sim_mcycles_per_s()
-        );
-        println!();
-    }
-    finish_sweep("stallreport", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    cli::drive_plan("stallreport", &args, &api::plan(SweepKind::Fig17), |summary| {
+        print_report(summary);
+        vec![("stall_report.csv".into(), api::stall_report_csv(summary))]
+    })
 }
 
-fn short(name: &str) -> &str {
-    match name {
-        "1-cluster.1window" => "ideal",
-        "2-cluster.FIFOs.dispatch_steer" => "fifo-disp",
-        "2-cluster.windows.dispatch_steer" => "win-disp",
-        "2-cluster.1window.exec_steer" => "exec-steer",
-        "2-cluster.windows.random_steer" => "random",
-        other => other,
+fn print_report(summary: &SweepSummary) {
+    let machines = machine::figure17_machines();
+    println!("Issue-slot stall attribution (% of issue slots = width x cycles)");
+    let mut cells = summary.ok_cells();
+    for bench in Benchmark::all() {
+        println!();
+        println!("{}:", bench.name());
+        print!("{:<12} {:>6}", "machine", "used");
+        for cause in StallCause::ALL {
+            print!(" {:>9}", cause.short());
+        }
+        println!();
+        ce_bench::rule(12 + 7 + StallCause::COUNT * 10);
+        for (name, cfg) in &machines {
+            let stats = &cells.next().expect("one result per cell").stats;
+            let slots = cfg.issue_width as u64 * stats.cycles;
+            assert!(
+                stats.stall_breakdown.reconciles(cfg.issue_width, stats.cycles, stats.issued),
+                "{bench}/{name}: attribution does not reconcile"
+            );
+            let pct = |n: u64| n as f64 / slots as f64 * 100.0;
+            print!("{:<12} {:>5.1}%", api::fig17_short_name(name), pct(stats.issued));
+            for cause in StallCause::ALL {
+                print!(" {:>8.1}%", pct(stats.stall_breakdown.get(cause)));
+            }
+            println!();
+        }
     }
+
+    println!();
+    println!(
+        "Reading: the FIFO organizations trade `operand` waits for `fifohead` waits —");
+    println!("ready instructions shadowed behind unready FIFO heads — and the clustered");
+    println!("machines add `xcluster` slots, issue stalled only by the extra bypass cycle.");
+
+    println!();
+    println!(
+        "sweep: {} cells in {:.2}s wall ({:.2}s summed serial, cells {:.0}-{:.0} ms), \
+         {:.2} Mcycles/s aggregate",
+        summary.cells.len(),
+        summary.sweep_wall.as_secs_f64(),
+        summary.serial_cell_wall.as_secs_f64(),
+        summary.min_cell_wall.as_secs_f64() * 1e3,
+        summary.max_cell_wall.as_secs_f64() * 1e3,
+        summary.sim_mcycles_per_s()
+    );
+    println!();
 }

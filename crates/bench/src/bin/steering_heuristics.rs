@@ -8,14 +8,17 @@
 //! together, bypasses stay local). The paper's heuristic is the only one
 //! with both.
 
-use ce_sim::{machine, Simulator, SteeringPolicy};
+use ce_bench::runner::{self, RunOptions};
+use ce_sim::{machine, SimConfig, SteeringPolicy};
+use ce_workloads::Benchmark;
 
 fn main() {
-    let policies: [(&str, SteeringPolicy); 4] = [
-        ("dependence", SteeringPolicy::Dependence),
-        ("load-bal", SteeringPolicy::LoadBalanced),
-        ("round-robin", SteeringPolicy::RoundRobin),
-        ("random", SteeringPolicy::Random { seed: 0xce11 }),
+    let fifos = machine::clustered_fifos_8way();
+    let policies = [
+        ("dependence", SimConfig { steering: SteeringPolicy::Dependence, ..fifos }),
+        ("load-bal", SimConfig { steering: SteeringPolicy::LoadBalanced, ..fifos }),
+        ("round-robin", SimConfig { steering: SteeringPolicy::RoundRobin, ..fifos }),
+        ("random", SimConfig { steering: SteeringPolicy::Random { seed: 0xce11 }, ..fifos }),
     ];
     println!("Steering heuristics on the 2x4-way clustered FIFO machine");
     print!("{:<10}", "benchmark");
@@ -24,12 +27,13 @@ fn main() {
     }
     println!();
     ce_bench::rule(10 + policies.len() * 21);
-    for (bench, trace) in ce_bench::load_all_traces() {
+    let jobs = runner::grid(&policies);
+    let summary = runner::run_sweep(&jobs, ce_bench::max_insts(), RunOptions::default());
+    let mut cells = summary.ok_cells().map(|cell| &cell.stats);
+    for bench in Benchmark::all() {
         print!("{:<10}", bench.name());
-        for (_, policy) in &policies {
-            let mut cfg = machine::clustered_fifos_8way();
-            cfg.steering = *policy;
-            let stats = Simulator::new(cfg).run(&trace);
+        for _ in &policies {
+            let stats = cells.next().expect("one cell per policy");
             print!(
                 " {:>12.3} {:>6.1}%",
                 stats.ipc(),

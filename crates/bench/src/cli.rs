@@ -1,6 +1,6 @@
-//! Shared command-line plumbing for the sweep binaries.
+//! One driver for every sweep binary, from parsed flags to exit code.
 //!
-//! Every figure/table binary accepts the same flags:
+//! Every sweep binary accepts the same flags:
 //!
 //! ```text
 //! --out PATH        write the result CSV to PATH (default results/<name>.csv)
@@ -15,21 +15,28 @@
 //! --quiet           suppress the progress line and info messages
 //! ```
 //!
-//! and finishes through [`finish_sweep`], which enforces one policy
-//! everywhere: a fully-successful sweep writes its CSV atomically, writes
-//! a content-addressed [`manifest`](crate::manifest) next to it, and
-//! deletes the journal; a sweep with failures writes **no** CSV and no
-//! manifest, keeps the journal for a later `--resume`, reports every
-//! failure with its [`RunError`](crate::runner::RunError) category, and
-//! exits nonzero.
+//! (`ce-explore` adds `--full` and `--grid` through
+//! [`SweepArgs::parse_with`]; `make_report` builds one [`SweepArgs`] per
+//! figure from its output directory), and runs through [`drive`], which owns
+//! every step after parsing: the telemetry handle, the checkpoint journal
+//! next to `--out`, the sweep, the `resumed N of M cells` line, and one
+//! end-of-sweep policy. A fully-successful sweep writes every artifact
+//! atomically, writes one content-addressed [`manifest`](crate::manifest)
+//! naming them all, and deletes the journal; a sweep with failures writes
+//! **no** artifact and no manifest, keeps the journal for a later
+//! `--resume`, reports every failure with its
+//! [`RunError`](crate::runner::RunError) category, and exits 1. I/O
+//! errors exit 2.
 
 use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use crate::api::SweepPlan;
 use crate::checkpoint::{write_atomic, CheckpointSpec};
+use crate::explore::ExploreReport;
 use crate::manifest;
-use crate::runner::{cell_weights, Job, RunOptions, SweepSummary};
+use crate::runner::{cell_weights, run_sweep_ft, SweepOptions, SweepSummary};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 
 /// The usage fragment for the shared observability flags.
@@ -61,10 +68,10 @@ impl ObsFlags {
     /// # Errors
     ///
     /// A message naming the incomplete argument.
-    fn try_match<I: Iterator<Item = String>>(
+    fn try_match(
         &mut self,
         arg: &str,
-        args: &mut I,
+        args: &mut dyn Iterator<Item = String>,
     ) -> Result<bool, String> {
         match arg {
             "--telemetry" => {
@@ -105,32 +112,6 @@ impl ObsFlags {
         self.progress || (std::io::stderr().is_terminal() && !resume)
     }
 
-    /// Builds the [`Telemetry`] handle these flags ask for, with ETA
-    /// weights for the given sweep. Returns the zero-cost disabled handle
-    /// when nothing is requested.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the telemetry journal.
-    pub fn telemetry(
-        &self,
-        name: &str,
-        jobs: &[Job],
-        max_insts: u64,
-        resume: bool,
-    ) -> std::io::Result<Telemetry> {
-        Telemetry::create(
-            &TelemetryConfig {
-                name: name.to_owned(),
-                journal: self.telemetry.clone(),
-                chrome_out: self.trace_out.clone(),
-                progress: self.progress_enabled(resume),
-            },
-            cell_weights(jobs, max_insts),
-            max_insts,
-        )
-    }
-
     /// Where the run manifest goes: `--manifest` when given, else next to
     /// the result file.
     pub fn manifest_path(&self, out: &Path) -> PathBuf {
@@ -153,12 +134,24 @@ impl SweepArgs {
     /// Parses `std::env::args`, exiting with code 2 and a usage message on
     /// anything unrecognized.
     pub fn parse(default_out: &str) -> SweepArgs {
-        match SweepArgs::try_parse(std::env::args().skip(1), default_out) {
+        SweepArgs::parse_with(default_out, "", |_, _| Ok(false))
+    }
+
+    /// [`SweepArgs::parse`] for a binary with flags of its own: `extra`
+    /// sees every argument the shared flags do not claim, with the rest
+    /// of the arguments for its value, and returns whether it took it;
+    /// `usage` names those flags in the usage line.
+    pub fn parse_with(
+        default_out: &str,
+        usage: &str,
+        extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> SweepArgs {
+        match SweepArgs::try_parse_with(std::env::args().skip(1), default_out, extra) {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("{msg}");
                 eprintln!(
-                    "usage: [--out PATH] [--resume] {OBS_USAGE}   \
+                    "usage: [--out PATH] [--resume] {usage}{OBS_USAGE}   \
                      (default --out {default_out})"
                 );
                 std::process::exit(2);
@@ -166,19 +159,20 @@ impl SweepArgs {
         }
     }
 
-    /// [`SweepArgs::parse`] over an explicit argument iterator.
+    /// [`SweepArgs::parse_with`] over an explicit argument iterator.
     ///
     /// # Errors
     ///
-    /// A message naming the unrecognized or incomplete argument.
-    pub fn try_parse(
-        args: impl Iterator<Item = String>,
+    /// A message naming the unrecognized or incomplete argument, or
+    /// `extra`'s own.
+    pub fn try_parse_with(
+        mut args: impl Iterator<Item = String>,
         default_out: &str,
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     ) -> Result<SweepArgs, String> {
         let mut out = PathBuf::from(default_out);
         let mut resume = false;
         let mut obs = ObsFlags::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--resume" => resume = true,
@@ -188,7 +182,7 @@ impl SweepArgs {
                     );
                 }
                 other => {
-                    if !obs.try_match(other, &mut args)? {
+                    if !obs.try_match(other, &mut args)? && !extra(other, &mut args)? {
                         return Err(format!("unrecognized argument `{other}`"));
                     }
                 }
@@ -196,94 +190,6 @@ impl SweepArgs {
         }
         obs.validate()?;
         Ok(SweepArgs { out, resume, obs })
-    }
-
-    /// The checkpoint spec for this invocation (journal lives next to the
-    /// CSV as `<stem>.ckpt.jsonl`).
-    pub fn checkpoint(&self) -> CheckpointSpec {
-        CheckpointSpec::for_output(&self.out, self.resume)
-    }
-}
-
-/// Parsed arguments of `ce-explore`: the sweep flags plus the explorer's
-/// own knobs.
-///
-/// ```text
-/// --out PATH      write pareto.csv to PATH (tab02_explore.csv lands next
-///                 to it; default results/pareto.csv)
-/// --resume        resume from PATH's checkpoint journal
-/// --full          exact full-detail simulation instead of sampled
-/// --grid NAME     tiny | full (default full)
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExploreArgs {
-    /// `pareto.csv` path.
-    pub out: PathBuf,
-    /// Resume from the checkpoint journal next to `out`.
-    pub resume: bool,
-    /// Exact simulation (`--full`) instead of the sampled default.
-    pub full: bool,
-    /// Grid scale.
-    pub grid: crate::explore::GridScale,
-    /// Shared observability flags.
-    pub obs: ObsFlags,
-}
-
-impl ExploreArgs {
-    /// Parses `std::env::args`, exiting with code 2 and a usage message on
-    /// anything unrecognized.
-    pub fn parse() -> ExploreArgs {
-        match ExploreArgs::try_parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: [--out PATH] [--resume] [--full] [--grid tiny|full] \
-                     {OBS_USAGE}   (default --out {})",
-                    crate::explore::DEFAULT_OUT
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// [`ExploreArgs::parse`] over an explicit argument iterator.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unrecognized or incomplete argument.
-    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<ExploreArgs, String> {
-        let mut parsed = ExploreArgs {
-            out: PathBuf::from(crate::explore::DEFAULT_OUT),
-            resume: false,
-            full: false,
-            grid: crate::explore::GridScale::Full,
-            obs: ObsFlags::default(),
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--resume" => parsed.resume = true,
-                "--full" => parsed.full = true,
-                "--out" => {
-                    parsed.out =
-                        PathBuf::from(args.next().ok_or("--out needs a path argument")?);
-                }
-                "--grid" => {
-                    parsed.grid = args
-                        .next()
-                        .ok_or("--grid needs a scale argument (tiny|full)")?
-                        .parse()?;
-                }
-                other => {
-                    if !parsed.obs.try_match(other, &mut args)? {
-                        return Err(format!("unrecognized argument `{other}`"));
-                    }
-                }
-            }
-        }
-        parsed.obs.validate()?;
-        Ok(parsed)
     }
 
     /// The checkpoint spec for this invocation (journal lives next to the
@@ -343,7 +249,7 @@ impl OutArgs {
 
 /// Finishes a report-style binary: on `Ok` writes the CSV atomically
 /// (tempfile + rename); on `Err` writes nothing and reports the model
-/// failure. Exit codes mirror [`finish_sweep`]: 0 clean, 1 the models
+/// failure. Exit codes mirror [`drive`]: 0 clean, 1 the models
 /// refused to evaluate, 2 I/O errors.
 pub fn finish_report(
     name: &str,
@@ -366,55 +272,93 @@ pub fn finish_report(
     }
 }
 
-/// Applies the uniform end-of-sweep policy (see the module docs) and
-/// returns the process exit code: 0 clean, 1 cell failures, 2 I/O errors.
-///
-/// On success the CSV is written atomically and a content-addressed run
-/// manifest lands next to it (or at `--manifest`), vouching for the CSV's
-/// bytes and carrying the cache key of `(code version, traces, configs,
-/// options)`. A sweep with failures writes neither.
-pub fn finish_sweep(
+/// What [`drive`] reads from a finished sweep.
+pub trait SweepOutput {
+    /// The runner's summary of the sweep's cells.
+    fn summary(&self) -> &SweepSummary;
+}
+
+impl SweepOutput for SweepSummary {
+    fn summary(&self) -> &SweepSummary {
+        self
+    }
+}
+
+impl SweepOutput for ExploreReport {
+    fn summary(&self) -> &SweepSummary {
+        self.summary.as_ref().expect("both explorer grids simulate cells")
+    }
+}
+
+/// [`drive`] with the runner's [`run_sweep_ft`] as the sweep: the figure
+/// binaries and `make_report`.
+pub fn drive_plan(
     name: &str,
     args: &SweepArgs,
-    jobs: &[Job],
-    max_insts: u64,
-    run: RunOptions,
-    summary: &SweepSummary,
-    csv: &str,
+    plan: &SweepPlan,
+    render: impl FnOnce(&SweepSummary) -> Vec<(String, String)>,
 ) -> ExitCode {
-    let out = args.out.as_path();
+    drive(name, args, plan, |max_insts, opts| run_sweep_ft(&plan.jobs, max_insts, &opts), render)
+}
+
+/// The sweep driver: runs `plan` under the telemetry and checkpoint
+/// `args` ask for, applies the end-of-sweep policy of the module docs,
+/// and returns the exit code: 0 clean, 1 cell failures, 2 I/O errors.
+///
+/// `sweep` runs the cells, given the instruction cap and the
+/// [`SweepOptions`] (the plan's run options, the checkpoint, the
+/// telemetry): [`run_sweep_ft`], or [`crate::explore::explore`] for
+/// `ce-explore`. `render` sees only a sweep without failures; it prints
+/// the binary's console table and returns its artifacts as `(file name,
+/// content)` pairs. The first lands at `--out`, the others next to it
+/// under their own names, and the manifest (at `--manifest`, or next to
+/// `--out`) vouches for every one with the cache key of `(code version,
+/// traces, configs, options)`.
+pub fn drive<R: SweepOutput>(
+    name: &str,
+    args: &SweepArgs,
+    plan: &SweepPlan,
+    sweep: impl FnOnce(u64, SweepOptions) -> std::io::Result<R>,
+    render: impl FnOnce(&R) -> Vec<(String, String)>,
+) -> ExitCode {
+    let max_insts = crate::max_insts();
+    let config = TelemetryConfig {
+        name: name.to_owned(),
+        journal: args.obs.telemetry.clone(),
+        chrome_out: args.obs.trace_out.clone(),
+        progress: args.obs.progress_enabled(args.resume),
+    };
+    let weights = cell_weights(&plan.jobs, max_insts);
+    let telemetry = match Telemetry::create(&config, weights, max_insts) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{name}: error[io]: telemetry journal: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let opts = SweepOptions {
+        run: plan.run,
+        checkpoint: Some(args.checkpoint()),
+        telemetry,
+        ..SweepOptions::default()
+    };
+    let output = match sweep(max_insts, opts) {
+        Ok(output) => output,
+        Err(e) => {
+            eprintln!("{name}: error[io]: checkpoint journal: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let summary = output.summary();
     if summary.resumed > 0 && !args.obs.quiet {
         eprintln!(
             "{name}: resumed {} of {} cells from {}",
             summary.resumed,
             summary.cells.len(),
-            CheckpointSpec::for_output(out, true).path.display()
+            args.checkpoint().path.display()
         );
     }
-    if summary.failures.is_empty() {
-        if let Err(e) = write_atomic(out, csv) {
-            eprintln!("{name}: error[io]: writing {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        let manifest_out = args.obs.manifest_path(out);
-        if let Err(e) = manifest::write_manifest(
-            &manifest_out,
-            name,
-            jobs,
-            max_insts,
-            run,
-            summary,
-            &[out],
-        ) {
-            eprintln!("{name}: error[io]: manifest: {e}");
-            return ExitCode::from(2);
-        }
-        if !args.obs.quiet {
-            eprintln!("{name}: wrote {}", out.display());
-            eprintln!("{name}: wrote {}", manifest_out.display());
-        }
-        ExitCode::SUCCESS
-    } else {
+    if !summary.failures.is_empty() {
         for failure in &summary.failures {
             eprintln!("{name}: error: {failure}");
         }
@@ -423,8 +367,39 @@ pub fn finish_sweep(
             summary.failures.len(),
             summary.cells.len()
         );
-        ExitCode::from(1)
+        return ExitCode::from(1);
     }
+    let mut paths = Vec::new();
+    for (file, content) in render(&output) {
+        let path = if paths.is_empty() { args.out.clone() } else { args.out.with_file_name(file) };
+        if let Err(e) = write_atomic(&path, &content) {
+            eprintln!("{name}: error[io]: writing {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+        if !args.obs.quiet {
+            eprintln!("{name}: wrote {}", path.display());
+        }
+        paths.push(path);
+    }
+    let manifest_out = args.obs.manifest_path(&args.out);
+    let artifacts: Vec<&Path> = paths.iter().map(PathBuf::as_path).collect();
+    let manifest = manifest::write_manifest(
+        &manifest_out,
+        name,
+        &plan.jobs,
+        max_insts,
+        plan.run,
+        summary,
+        &artifacts,
+    );
+    if let Err(e) = manifest {
+        eprintln!("{name}: error[io]: manifest: {e}");
+        return ExitCode::from(2);
+    }
+    if !args.obs.quiet {
+        eprintln!("{name}: wrote {}", manifest_out.display());
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -432,7 +407,9 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<SweepArgs, String> {
-        SweepArgs::try_parse(args.iter().map(|s| s.to_string()), "results/x.csv")
+        SweepArgs::try_parse_with(args.iter().map(|s| s.to_string()), "results/x.csv", |_, _| {
+            Ok(false)
+        })
     }
 
     #[test]
@@ -452,23 +429,44 @@ mod tests {
         assert!(parse(&["--out"]).unwrap_err().contains("path"));
     }
 
+    /// A binary's own flags (here `ce-explore`'s) go through the hook;
+    /// the shared flags still parse around them, and a flag neither
+    /// claims is still refused.
     #[test]
-    fn explore_args_defaults_flags_and_rejections() {
-        let parse = |args: &[&str]| ExploreArgs::try_parse(args.iter().map(|s| s.to_string()));
-        let a = parse(&[]).unwrap();
+    fn extra_flags_parse_through_the_hook() {
+        use crate::explore::GridScale;
+        let parse = |args: &[&str]| {
+            let (mut grid, mut full) = (GridScale::Full, false);
+            let parsed = SweepArgs::try_parse_with(
+                args.iter().map(|s| s.to_string()),
+                "results/pareto.csv",
+                |flag, rest| {
+                    match flag {
+                        "--full" => full = true,
+                        "--grid" => grid = rest.next().ok_or("--grid needs a scale")?.parse()?,
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                },
+            );
+            parsed.map(|a| (a, grid, full))
+        };
+        let (a, grid, full) = parse(&[]).unwrap();
         assert_eq!(a.out, PathBuf::from("results/pareto.csv"));
-        assert!(!a.resume && !a.full);
-        assert_eq!(a.grid, crate::explore::GridScale::Full);
+        assert!(!a.resume && !full);
+        assert_eq!(grid, GridScale::Full);
 
-        let a = parse(&["--grid", "tiny", "--full", "--resume", "--out", "/tmp/p.csv"]).unwrap();
-        assert!(a.resume && a.full);
-        assert_eq!(a.grid, crate::explore::GridScale::Tiny);
-        assert_eq!(a.out, PathBuf::from("/tmp/p.csv"));
+        let (a, grid, full) =
+            parse(&["--grid", "tiny", "--full", "--resume", "--out", "/tmp/p.csv", "--quiet"])
+                .unwrap();
+        assert!(a.resume && full && a.obs.quiet);
+        assert_eq!(grid, GridScale::Tiny);
         assert!(a.checkpoint().path.ends_with("p.ckpt.jsonl"));
 
         assert!(parse(&["--grid", "huge"]).unwrap_err().contains("huge"));
         assert!(parse(&["--grid"]).unwrap_err().contains("scale"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("frobnicate"));
+        assert!(self::parse(&["--full"]).unwrap_err().contains("full"), "no hook, no --full");
     }
 
     fn parse_out(args: &[&str]) -> Result<OutArgs, String> {
@@ -487,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_flags_parse_on_both_arg_types() {
+    fn obs_flags_parse() {
         let a = parse(&[
             "--telemetry", "/tmp/t.jsonl", "--trace-out", "/tmp/t.trace.json",
             "--manifest", "/tmp/t.manifest.json", "--quiet",
@@ -497,13 +495,7 @@ mod tests {
         assert_eq!(a.obs.trace_out, Some(PathBuf::from("/tmp/t.trace.json")));
         assert_eq!(a.obs.manifest, Some(PathBuf::from("/tmp/t.manifest.json")));
         assert!(a.obs.quiet && !a.obs.progress);
-
-        let e = ExploreArgs::try_parse(
-            ["--progress", "--telemetry", "/tmp/e.jsonl"].iter().map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert!(e.obs.progress);
-        assert_eq!(e.obs.telemetry, Some(PathBuf::from("/tmp/e.jsonl")));
+        assert!(parse(&["--progress"]).unwrap().obs.progress);
 
         assert!(parse(&["--telemetry"]).unwrap_err().contains("path"));
         assert!(parse(&["--progress", "--quiet"]).unwrap_err().contains("conflicts"));
@@ -533,25 +525,28 @@ mod tests {
         assert_eq!(obs.manifest_path(Path::new("results/fig13_ipc.csv")), PathBuf::from("/tmp/m.json"));
     }
 
-    /// A successful sweep finishes into a CSV *and* a schema-tagged
-    /// manifest whose artifact entry hashes the CSV bytes.
+    fn quiet_args(out: PathBuf) -> SweepArgs {
+        SweepArgs { out, resume: false, obs: ObsFlags { quiet: true, ..ObsFlags::default() } }
+    }
+
+    /// A successful sweep writes its first artifact at `--out`, the rest
+    /// next to it, and one schema-tagged manifest that hashes them all.
     #[test]
-    fn finish_sweep_writes_csv_and_manifest() {
+    fn drive_writes_every_artifact_and_one_manifest() {
         use ce_workloads::Benchmark;
-        let dir = std::env::temp_dir().join(format!("ce-finish-sweep-{}", std::process::id()));
-        let out = dir.join("mini.csv");
-        let jobs: Vec<Job> =
-            vec![(Benchmark::Compress, ce_sim::machine::baseline_8way())];
-        let summary = crate::runner::run_sweep(&jobs, 2_000, RunOptions::default());
-        let args = SweepArgs {
-            out: out.clone(),
-            resume: false,
-            obs: ObsFlags { quiet: true, ..ObsFlags::default() },
+        let dir = std::env::temp_dir().join(format!("ce-drive-ok-{}", std::process::id()));
+        let plan = SweepPlan {
+            jobs: vec![(Benchmark::Compress, ce_sim::machine::baseline_8way())],
+            run: crate::runner::RunOptions::default(),
         };
-        let code =
-            finish_sweep("mini", &args, &jobs, 2_000, RunOptions::default(), &summary, "a,b\n");
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "a,b\n");
+        let code = drive_plan("mini", &quiet_args(dir.join("mini.csv")), &plan, |summary| {
+            assert_eq!(summary.cells.len(), 1);
+            vec![("ignored.csv".into(), "a,b\n".into()), ("extra.csv".into(), "c\n".into())]
+        });
+        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(std::fs::read_to_string(dir.join("mini.csv")).unwrap(), "a,b\n");
+        assert_eq!(std::fs::read_to_string(dir.join("extra.csv")).unwrap(), "c\n");
+        assert!(!dir.join("mini.ckpt.jsonl").exists(), "a clean sweep drops its journal");
         let manifest_text = std::fs::read_to_string(dir.join("mini.manifest.json")).unwrap();
         let doc = crate::json::Json::parse(&manifest_text).unwrap();
         use crate::json::Json;
@@ -561,7 +556,31 @@ mod tests {
         );
         assert_eq!(doc.at("cells").and_then(Json::as_u64), Some(1));
         assert_eq!(doc.at("artifacts.0.bytes").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.at("artifacts.1.bytes").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.at("cache_key").and_then(Json::as_str).map(str::len), Some(16));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sweep with a failed cell renders nothing, writes nothing, keeps
+    /// its journal for `--resume`, and exits 1.
+    #[test]
+    fn drive_withholds_every_artifact_on_cell_failures() {
+        use ce_workloads::Benchmark;
+        let dir = std::env::temp_dir().join(format!("ce-drive-fail-{}", std::process::id()));
+        let bad = ce_sim::SimConfig { issue_width: 0, ..ce_sim::machine::baseline_8way() };
+        let plan = SweepPlan {
+            jobs: vec![
+                (Benchmark::Compress, ce_sim::machine::baseline_8way()),
+                (Benchmark::Compress, bad),
+            ],
+            run: crate::runner::RunOptions::default(),
+        };
+        let code = drive_plan("mini", &quiet_args(dir.join("mini.csv")), &plan, |_| {
+            unreachable!("a failed sweep is never rendered")
+        });
+        assert_eq!(code, ExitCode::from(1));
+        assert!(!dir.join("mini.csv").exists() && !dir.join("mini.manifest.json").exists());
+        assert!(dir.join("mini.ckpt.jsonl").exists(), "the journal stays for --resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -570,12 +589,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ce-finish-report-{}", std::process::id()));
         let out = dir.join("ok.csv");
         let code = finish_report("t", Ok::<_, String>("a,b\n1,2\n".into()), &out);
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::SUCCESS));
+        assert_eq!(code, ExitCode::SUCCESS);
         assert_eq!(std::fs::read_to_string(&out).unwrap(), "a,b\n1,2\n");
 
         let out = dir.join("err.csv");
         let code = finish_report("t", Err::<String, _>("model refused"), &out);
-        assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::from(1)));
+        assert_eq!(code, ExitCode::from(1));
         assert!(!out.exists(), "no CSV on model failure");
         let _ = std::fs::remove_dir_all(&dir);
     }

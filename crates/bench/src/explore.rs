@@ -410,6 +410,12 @@ pub fn explore_jobs(scale: GridScale) -> Vec<Job> {
         .collect()
 }
 
+/// The IPC sweep's per-cell options: sampled at the default geometry, or
+/// exact.
+pub fn run_options(exact: bool) -> RunOptions {
+    RunOptions { sampled: (!exact).then(SamplingConfig::default), ..RunOptions::default() }
+}
+
 /// Runs the explorer: enumerate, price the delay side, sweep the IPC
 /// side (through the fault-tolerant runner), score, and mark the
 /// per-technology Pareto frontier.
@@ -418,12 +424,11 @@ pub fn explore_jobs(scale: GridScale) -> Vec<Job> {
 ///
 /// Only checkpoint-journal I/O errors. Simulation failures surface in
 /// `report.summary.failures` (and the caller must then withhold the
-/// CSVs, matching [`crate::cli::finish_sweep`] policy); grid corners the
+/// CSVs, matching the [`crate::cli::drive`] policy); grid corners the
 /// models refuse are structured skips in `report.rows`, not errors.
 pub fn explore(opts: &ExploreOptions) -> std::io::Result<ExploreReport> {
     let jobs = explore_jobs(opts.scale);
-    let sampling = (!opts.exact).then(SamplingConfig::default);
-    let run = RunOptions { sampled: sampling, ..RunOptions::default() };
+    let run = run_options(opts.exact);
     let summary = if jobs.is_empty() {
         None
     } else {
@@ -491,8 +496,7 @@ pub fn score(scale: GridScale, exact: bool, summary: Option<SweepSummary>) -> Ex
             benches.iter().map(move |&b| (b, cfg))
         })
         .collect();
-    let sampling = (!exact).then(SamplingConfig::default);
-    let run = RunOptions { sampled: sampling, ..RunOptions::default() };
+    let run = run_options(exact);
 
     // Score: harmonic-mean IPC per simulated point (the paper's Figure 13
     // aggregates the same way — slow kernels must not be averaged away).

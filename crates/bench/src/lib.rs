@@ -7,15 +7,17 @@
 //! ```text
 //! for exp in fig03_rename fig05_wakeup fig06_wakeup_scaling fig08_select \
 //!            tab01_bypass tab02_overall tab04_restable \
-//!            fig13_ipc fig15_clustered fig17_organizations \
-//!            speedup_summary ablations; do
+//!            fig13_ipc fig15_clustered fig17_organizations occupancy \
+//!            stallreport speedup_summary ablations extensions \
+//!            steering_heuristics clustering_benefits ce-explore; do
 //!     cargo run --release -p ce-bench --bin $exp
 //! done
 //! ```
 //!
-//! The library half holds shared helpers: benchmark trace loading (with an
-//! instruction cap from `CE_MAX_INSTS`), the parallel experiment
-//! [`runner`], and table formatting.
+//! The library half holds shared helpers: the instruction cap from
+//! `CE_MAX_INSTS`, the parallel experiment [`runner`], the one sweep
+//! driver every CSV-writing sweep binary runs through ([`cli::drive`]),
+//! and table formatting.
 //!
 //! ## Environment knobs
 //!
@@ -28,10 +30,6 @@
 //! `CE_THREADS` changes only wall-clock time, never results. Traces are
 //! memoized process-wide ([`ce_workloads::trace_cached`]): each kernel is
 //! assembled and emulated once no matter how many cells consume it.
-
-use std::sync::Arc;
-
-use ce_workloads::{trace_cached, Benchmark, Trace};
 
 pub mod api;
 pub mod campaign;
@@ -67,23 +65,6 @@ pub fn max_insts() -> u64 {
         .unwrap_or(DEFAULT_MAX_INSTS)
 }
 
-/// Loads the dynamic trace for one benchmark through the process-wide
-/// trace cache.
-///
-/// # Panics
-///
-/// Panics if the bundled kernel fails to assemble or run — that would be a
-/// bug in `ce-workloads`, not an experiment outcome.
-pub fn load_trace(benchmark: Benchmark) -> Arc<Trace> {
-    trace_cached(benchmark, max_insts())
-        .unwrap_or_else(|e| panic!("loading {benchmark}: {e}"))
-}
-
-/// Loads traces for all seven benchmarks, in figure order.
-pub fn load_all_traces() -> Vec<(Benchmark, Arc<Trace>)> {
-    Benchmark::all().into_iter().map(|b| (b, load_trace(b))).collect()
-}
-
 /// Prints a rule line matching a header's width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -116,11 +97,5 @@ mod tests {
         if std::env::var("CE_MAX_INSTS").is_err() {
             assert_eq!(max_insts(), DEFAULT_MAX_INSTS);
         }
-    }
-
-    #[test]
-    fn traces_load() {
-        let t = load_trace(Benchmark::Compress);
-        assert!(t.len() > 10_000);
     }
 }

@@ -15,76 +15,18 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ce_bench::chaos::fuzz_corpus;
 use ce_bench::json::Json;
 use ce_bench::service::MAX_REQUEST_LINE;
-
-const INSTS: &str = "20000";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ce-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
-
-fn daemon(state: &Path, socket: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cesimd"));
-    cmd.env("CE_MAX_INSTS", INSTS)
-        .env("CE_THREADS", "1")
-        .env_remove("CE_IOFAULT")
-        .arg("--state")
-        .arg(state)
-        .arg("--socket")
-        .arg(socket)
-        .arg("--quiet")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    cmd
-}
-
-fn ctl(socket: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cesimctl"));
-    cmd.env("CE_MAX_INSTS", INSTS).arg("--socket").arg(socket);
-    cmd
-}
-
-fn wait_ready(socket: &Path, child: &mut Child) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let ok = ctl(socket)
-            .arg("ping")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        if ok {
-            return;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("cesimd exited during startup: {status}");
-        }
-        assert!(Instant::now() < deadline, "cesimd never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn shutdown(socket: &Path, child: &mut Child) {
-    let _ = ctl(socket)
-        .arg("shutdown")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status();
-    let status = child.wait().expect("cesimd reaped");
-    assert!(status.success(), "cesimd shutdown was not clean: {status}");
-}
+use common::{ctl, daemon, exec_profile, shutdown, temp_dir, wait_ready};
 
 /// One-line request on a fresh connection; the first response line.
 fn request_line(socket: &Path, line: &str) -> Option<String> {
@@ -114,26 +56,6 @@ fn wait_drained(socket: &Path) {
         assert!(Instant::now() < deadline, "recovered jobs never drained");
         std::thread::sleep(Duration::from_millis(100));
     }
-}
-
-/// Cells settled by simulation (checkpoint-write events) and cache
-/// hits, per telemetry journal.
-fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
-    let text = std::fs::read_to_string(journal)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", journal.display()));
-    let mut written = std::collections::BTreeSet::new();
-    let mut hits = 0usize;
-    for line in text.lines().skip(1) {
-        let Ok(doc) = Json::parse(line) else { continue };
-        match doc.at("ev").and_then(Json::as_str) {
-            Some("checkpoint-write") => {
-                written.insert(doc.at("cell").and_then(Json::as_u64).expect("cell"));
-            }
-            Some("cache-hit") => hits += 1,
-            _ => {}
-        }
-    }
-    (written, hits)
 }
 
 fn fsck(state: &Path) -> std::process::Output {

@@ -1,8 +1,9 @@
 //! Exit-code contracts of the CI gate tools (`bench_compare`,
 //! `metrics_check`, and the verification gates `diffcheck`,
-//! `sampling_check`, `delaycheck` and `cechaos`): 0 pass, 1 gate
-//! failure, 2 missing/malformed input or a usage error — so a workflow
-//! can distinguish "the gate tripped" from "the gate never ran".
+//! `sampling_check`, `delaycheck` and `cechaos`) and of the sweep front
+//! ends (`make_report`, and the flags every sweep binary shares): 0 pass,
+//! 1 gate failure, 2 missing/malformed input or a usage error — so a
+//! workflow can distinguish "the gate tripped" from "the gate never ran".
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -157,4 +158,56 @@ fn verification_gates_share_one_exit_rule() {
     assert_eq!(code, Some(0), "{text}");
     assert!(text.contains("delaycheck: 35 case(s): 35 pass, 0 violation(s)"), "{text}");
     std::fs::remove_dir_all(out.parent().expect("temp dir")).ok();
+}
+
+/// `make_report` follows the same exit rule: a flag or a second
+/// positional argument is a usage error that creates nothing, and an
+/// output directory it cannot create is an `error[io]`, not a panic.
+#[test]
+fn make_report_refuses_usage_errors_and_reports_io_failures() {
+    let dir = temp_dir("make-report");
+    let make_report = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_make_report"));
+        cmd.current_dir(&dir);
+        cmd
+    };
+    let usage_errors: [&[&str]; 3] = [&["--help"], &["-o", "out"], &["one", "two"]];
+    for args in usage_errors {
+        let out = make_report().args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        let created: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+        assert!(created.is_empty(), "{args:?} created {created:?}");
+    }
+
+    // A directory under a regular file cannot be created, even by root.
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("write");
+    let out = make_report().arg(file.join("report")).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("make_report: error[io]: "), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every sweep binary parses the same flags, and the explorer's own
+/// (`--full`, `--grid`) stay its own: a usage error exits 2 before any
+/// cell runs.
+#[test]
+fn sweep_binaries_refuse_flags_they_do_not_own() {
+    let fig13 = env!("CARGO_BIN_EXE_fig13_ipc");
+    let explore = env!("CARGO_BIN_EXE_ce-explore");
+    let usage_errors: [(&str, &[&str]); 5] = [
+        (fig13, &["--full"]),
+        (fig13, &["--grid", "tiny"]),
+        (explore, &["--grid", "huge"]),
+        (explore, &["--grid"]),
+        (explore, &["--bogus"]),
+    ];
+    for (bin, args) in usage_errors {
+        let (code, text) = gate(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}:\n{text}");
+        assert!(text.contains("usage: [--out PATH] [--resume] "), "{bin} {args:?}:\n{text}");
+    }
 }
