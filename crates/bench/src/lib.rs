@@ -70,11 +70,6 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Formats a picosecond value for tables.
-pub fn ps(value: f64) -> String {
-    format!("{value:8.1}")
-}
-
 /// Formats a relative deviation between a measured and a reference value.
 pub fn deviation(measured: f64, reference: f64) -> String {
     format!("{:+5.1}%", (measured / reference - 1.0) * 100.0)

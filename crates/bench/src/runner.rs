@@ -55,8 +55,8 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ce_sim::{
-    try_run_sampled, SampleError, SampledStats, SamplingConfig, SimConfig, SimError, SimStats,
-    Simulator,
+    try_run_sampled, ConfigError, SampleError, SampledStats, SamplingConfig, SimConfig, SimError,
+    SimStats, Simulator,
 };
 use ce_workloads::{trace_cached, Benchmark};
 
@@ -491,8 +491,7 @@ fn run_cell(
     timeout: Option<Duration>,
     sampled: Option<SamplingConfig>,
 ) -> Result<TimedResult, RunError> {
-    let mut sim =
-        Simulator::try_new(cfg).map_err(|e| RunError::ConfigInvalid(e.to_string()))?;
+    cfg.validate().map_err(|msg| RunError::ConfigInvalid(ConfigError(msg).to_string()))?;
     let trace = trace_cached(bench, max_insts)
         .map_err(|e| RunError::TraceCorrupt(format!("tracing failed: {e}")))?;
     if let Some(sampling) = sampled {
@@ -511,6 +510,7 @@ fn run_cell(
             Err(payload) => Err(classify_panic(payload)),
         };
     }
+    let mut sim = Simulator::new(cfg);
     if let Some(limit) = timeout {
         sim.set_deadline(limit);
     }

@@ -85,21 +85,11 @@ struct Candidate {
 /// An instruction waiting in the front end.
 #[derive(Debug, Clone, Copy)]
 struct FrontEndSlot {
-    payload: SlotPayload,
+    d: DynInst,
+    /// A synthesized wrong-path instruction, not one of the trace's.
+    wrong_path: bool,
     ready_at: u64,
     mispredicted: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SlotPayload {
-    Real(usize),
-    WrongPath(DynInst),
-}
-
-impl SlotPayload {
-    fn is_wrong_path(&self) -> bool {
-        matches!(self, SlotPayload::WrongPath(_))
-    }
 }
 
 /// The naive issue structure: a linearly scanned slot array for central
@@ -436,7 +426,7 @@ impl OracleSimulator {
     ///
     /// Panics if the machine deadlocks.
     pub fn run(mut self, trace: &Trace) -> SimStats {
-        let insts = trace.as_slice();
+        let insts = trace.slice(..);
         if insts.is_empty() {
             return self.stats;
         }
@@ -445,7 +435,7 @@ impl OracleSimulator {
         // full-shift `remove(0)` and searched linearly everywhere.
         let mut rob: Vec<Entry> = Vec::new();
         let mut frontq: VecDeque<FrontEndSlot> = VecDeque::new();
-        let mut fetch_index = 0usize;
+        let mut fetch = insts.iter();
         let mut fetch_stalled_on: Option<u64> = None;
         let mut wrong_seq: u64 = 0;
         let mut wrong_pc: u32 = 0;
@@ -497,23 +487,23 @@ impl OracleSimulator {
                         self.window.remove_squashed(InstId(e.seq));
                     }
                 }
-                frontq.retain(|slot| !slot.payload.is_wrong_path());
+                frontq.retain(|slot| !slot.wrong_path);
             }
 
             // ---- wakeup + select + execute ------------------------------
             self.issue_cycle(cycle, &mut rob);
 
             // ---- dispatch (rename + steer) ------------------------------
-            self.dispatch_cycle(cycle, insts, &mut frontq, &mut rob);
+            self.dispatch_cycle(cycle, &mut frontq, &mut rob);
 
             // ---- fetch ---------------------------------------------------
             let cap = 2 * self.cfg.fetch_width;
             if fetch_stalled_on.is_none() {
                 for _ in 0..self.cfg.fetch_width {
-                    if fetch_index >= insts.len() || frontq.len() >= cap {
+                    if frontq.len() >= cap {
                         break;
                     }
-                    let d = &insts[fetch_index];
+                    let Some(d) = fetch.next() else { break };
                     if let Some(addr) = d.mem_addr {
                         recent_mem_addr = addr;
                     }
@@ -524,11 +514,11 @@ impl OracleSimulator {
                     }
                     let taken_cti = d.is_control() && d.taken;
                     frontq.push_back(FrontEndSlot {
-                        payload: SlotPayload::Real(fetch_index),
+                        d,
+                        wrong_path: false,
                         ready_at: cycle + self.cfg.frontend_depth,
                         mispredicted,
                     });
-                    fetch_index += 1;
                     if self.cfg.fetch_breaks_on_taken && taken_cti && !mispredicted {
                         break;
                     }
@@ -577,7 +567,8 @@ impl OracleSimulator {
                     wrong_pc = wrong_pc.wrapping_add(4);
                     self.stats.wrong_path_fetched += 1;
                     frontq.push_back(FrontEndSlot {
-                        payload: SlotPayload::WrongPath(d),
+                        d,
+                        wrong_path: true,
                         ready_at: cycle + self.cfg.frontend_depth,
                         mispredicted: false,
                     });
@@ -740,7 +731,6 @@ impl OracleSimulator {
     fn dispatch_cycle(
         &mut self,
         cycle: u64,
-        insts: &[DynInst],
         frontq: &mut VecDeque<FrontEndSlot>,
         rob: &mut Vec<Entry>,
     ) {
@@ -752,15 +742,8 @@ impl OracleSimulator {
                 break;
             }
             had_candidate = true;
-            let wrong_path = slot.payload.is_wrong_path();
-            let synthesized;
-            let d = match slot.payload {
-                SlotPayload::Real(index) => &insts[index],
-                SlotPayload::WrongPath(d) => {
-                    synthesized = d;
-                    &synthesized
-                }
-            };
+            let wrong_path = slot.wrong_path;
+            let d = &slot.d;
 
             if rob.len() >= self.cfg.max_inflight {
                 self.stats.inflight_stalls += 1;

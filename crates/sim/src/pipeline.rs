@@ -32,7 +32,7 @@ use crate::scheduler::{Candidate, InsertReject, Scheduler};
 use crate::stats::SimStats;
 use ce_core::{FifoId, InstId};
 use ce_isa::OperationKind;
-use ce_workloads::{DynInst, Trace};
+use ce_workloads::{DynInst, Trace, TraceSlice};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -259,25 +259,11 @@ impl StoreTracker {
 /// An instruction waiting in the front end (fetched, not yet dispatched).
 #[derive(Debug, Clone, Copy)]
 struct FrontEndSlot {
-    payload: SlotPayload,
+    d: DynInst,
+    /// A synthesized wrong-path instruction, not one of the trace's.
+    wrong_path: bool,
     ready_at: u64,
     mispredicted: bool,
-}
-
-/// What a front-end slot carries: a real trace instruction or a
-/// synthesized wrong-path one.
-#[derive(Debug, Clone, Copy)]
-enum SlotPayload {
-    /// Index into the trace.
-    Real(usize),
-    /// A fabricated wrong-path instruction.
-    WrongPath(DynInst),
-}
-
-impl SlotPayload {
-    fn is_wrong_path(&self) -> bool {
-        matches!(self, SlotPayload::WrongPath(_))
-    }
 }
 
 /// Front-end state snapshot taken just before the issue pass — the
@@ -452,10 +438,18 @@ impl Simulator {
     /// Returns the first constraint [`SimConfig::validate`] rejects.
     pub fn try_new(cfg: SimConfig) -> Result<Simulator, ConfigError> {
         cfg.validate().map_err(ConfigError)?;
-        Ok(Simulator {
+        Ok(Simulator::with_state(cfg, Gshare::new(cfg.bpred), Dcache::new(cfg.dcache)))
+    }
+
+    /// A simulator for an already validated `cfg` around a predictor and
+    /// cache built from it: cold ones from [`try_new`](Self::try_new), or
+    /// the state a sampled run carried through its functional
+    /// fast-forward.
+    pub(crate) fn with_state(cfg: SimConfig, bpred: Gshare, dcache: Dcache) -> Simulator {
+        Simulator {
             cfg,
-            bpred: Gshare::new(cfg.bpred),
-            dcache: Dcache::new(cfg.dcache),
+            bpred,
+            dcache,
             rename: RenameTable::new(cfg.physical_regs),
             sched: Scheduler::new(cfg.scheduler, cfg.clusters, cfg.steering, cfg.max_inflight),
             pregs: vec![PregInfo { ready: 0, cluster: None }; cfg.physical_regs],
@@ -475,7 +469,7 @@ impl Simulator {
             measure_end: u64::MAX,
             measure_mark_start: None,
             measure_mark_end: None,
-        })
+        }
     }
 
     /// Creates a simulator for a machine configuration.
@@ -562,7 +556,7 @@ impl Simulator {
     ///
     /// Returns the [`SimError`] that stopped the run.
     pub fn try_run(mut self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_core(trace.as_slice())
+        self.run_core(trace.slice(..))
     }
 
     /// Runs the trace with per-phase wall-clock profiling enabled,
@@ -578,17 +572,8 @@ impl Simulator {
         trace: &Trace,
     ) -> Result<(SimStats, PhaseProfile), SimError> {
         self.profile = Some(PhaseProfile::default());
-        let stats = self.run_core(trace.as_slice())?;
+        let stats = self.run_core(trace.slice(..))?;
         Ok((stats, self.profile.expect("enabled above")))
-    }
-
-    /// Replaces the cold branch predictor and D-cache with warmed copies —
-    /// the state a sampled-simulation driver carried through its
-    /// functional fast-forward. The copies must have been built from this
-    /// simulator's own configuration (same geometry).
-    pub fn warm_start(&mut self, bpred: Gshare, dcache: Dcache) {
-        self.bpred = bpred;
-        self.dcache = dcache;
     }
 
     /// Consumes the simulator, handing back the (now further-warmed)
@@ -616,14 +601,14 @@ impl Simulator {
         (self.measure_mark_start, self.measure_mark_end)
     }
 
-    /// Runs a raw instruction slice (a sampled-simulation window) to
+    /// Runs a range of a trace (a sampled-simulation window) to
     /// completion. Identical to [`try_run`](Self::try_run) modulo the
     /// input type; sequence numbers need not start at zero.
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] that stopped the run.
-    pub(crate) fn run_slice(&mut self, insts: &[DynInst]) -> Result<SimStats, SimError> {
+    pub(crate) fn run_slice(&mut self, insts: TraceSlice<'_>) -> Result<SimStats, SimError> {
         self.run_core(insts)
     }
 
@@ -650,9 +635,9 @@ impl Simulator {
     ///
     /// Returns the [`SimError`] that stopped the run.
     pub fn try_run_traced(mut self, trace: &Trace) -> Result<(SimStats, Vec<IssueRecord>), SimError> {
-        let (recorder, handle) = ScheduleRecorder::new(trace.as_slice().len());
+        let (recorder, handle) = ScheduleRecorder::new(trace.len());
         self.attach_probe(Box::new(recorder));
-        let stats = self.run_core(trace.as_slice())?;
+        let stats = self.run_core(trace.slice(..))?;
         drop(self); // releases the recorder's clone of the handle
         let schedule = match Rc::try_unwrap(handle) {
             Ok(cell) => cell.into_inner(),
@@ -663,7 +648,7 @@ impl Simulator {
 
     /// The cycle loop shared by [`try_run`](Self::try_run) and
     /// [`try_run_traced`](Self::try_run_traced).
-    fn run_core(&mut self, insts: &[DynInst]) -> Result<SimStats, SimError> {
+    fn run_core(&mut self, insts: TraceSlice<'_>) -> Result<SimStats, SimError> {
         if insts.is_empty() {
             self.finish_probes();
             return Ok(self.stats.clone());
@@ -678,7 +663,7 @@ impl Simulator {
         let mut fu_used: Vec<usize> = vec![0; self.cfg.clusters];
         // Rejection causes recorded this cycle (attribution only).
         let mut rejects: Vec<StallCause> = Vec::with_capacity(self.cfg.max_inflight);
-        let mut fetch_index = 0usize;
+        let mut fetch = insts.iter();
         // Sequence number of an unresolved mispredicted branch, if any.
         let mut fetch_stalled_on: Option<u64> = None;
         // Next synthetic sequence number and PC for wrong-path fetch.
@@ -826,18 +811,16 @@ impl Simulator {
                 if self.probes_on() {
                     // Wrong-path work still in the front end is squashed
                     // too — report it before it vanishes.
-                    for slot in frontq.iter() {
-                        if let SlotPayload::WrongPath(d) = slot.payload {
-                            self.emit(ProbeEvent::Squash {
-                                cycle,
-                                seq: d.seq,
-                                branch_seq,
-                                issued: false,
-                            });
-                        }
+                    for slot in frontq.iter().filter(|slot| slot.wrong_path) {
+                        self.emit(ProbeEvent::Squash {
+                            cycle,
+                            seq: slot.d.seq,
+                            branch_seq,
+                            issued: false,
+                        });
                     }
                 }
-                frontq.retain(|slot| !slot.payload.is_wrong_path());
+                frontq.retain(|slot| !slot.wrong_path);
                 stores.on_squash(branch_seq);
             }
 
@@ -859,7 +842,7 @@ impl Simulator {
             }
 
             // ---- dispatch (rename + steer) ------------------------------
-            self.dispatch_cycle(cycle, insts, &mut frontq, &mut rob, &mut stores);
+            self.dispatch_cycle(cycle, &mut frontq, &mut rob, &mut stores);
             if self.cfg.check {
                 self.check_after_dispatch(cycle, &rob);
                 self.check_wakeup_state(cycle, &rob);
@@ -873,10 +856,10 @@ impl Simulator {
             let cap = 2 * self.cfg.fetch_width;
             if fetch_stalled_on.is_none() {
                 for _ in 0..self.cfg.fetch_width {
-                    if fetch_index >= insts.len() || frontq.len() >= cap {
+                    if frontq.len() >= cap {
                         break;
                     }
-                    let d = &insts[fetch_index];
+                    let Some(d) = fetch.next() else { break };
                     if let Some(addr) = d.mem_addr {
                         recent_mem_addr = addr;
                     }
@@ -887,7 +870,8 @@ impl Simulator {
                     }
                     let taken_cti = d.is_control() && d.taken;
                     frontq.push_back(FrontEndSlot {
-                        payload: SlotPayload::Real(fetch_index),
+                        d,
+                        wrong_path: false,
                         ready_at: cycle + self.cfg.frontend_depth,
                         mispredicted,
                     });
@@ -900,7 +884,6 @@ impl Simulator {
                             mispredicted,
                         });
                     }
-                    fetch_index += 1;
                     if self.cfg.fetch_breaks_on_taken && taken_cti && !mispredicted {
                         break; // realistic fetch: stop at a taken branch
                     }
@@ -959,7 +942,8 @@ impl Simulator {
                     wrong_pc = wrong_pc.wrapping_add(4);
                     self.stats.wrong_path_fetched += 1;
                     frontq.push_back(FrontEndSlot {
-                        payload: SlotPayload::WrongPath(d),
+                        d,
+                        wrong_path: true,
                         ready_at: cycle + self.cfg.frontend_depth,
                         mispredicted: false,
                     });
@@ -1969,7 +1953,6 @@ impl Simulator {
     fn dispatch_cycle(
         &mut self,
         cycle: u64,
-        insts: &[DynInst],
         frontq: &mut VecDeque<FrontEndSlot>,
         rob: &mut VecDeque<Entry>,
         stores: &mut StoreTracker,
@@ -1982,15 +1965,8 @@ impl Simulator {
                 break;
             }
             had_candidate = true;
-            let wrong_path = slot.payload.is_wrong_path();
-            let synthesized;
-            let d = match slot.payload {
-                SlotPayload::Real(index) => &insts[index],
-                SlotPayload::WrongPath(d) => {
-                    synthesized = d;
-                    &synthesized
-                }
-            };
+            let wrong_path = slot.wrong_path;
+            let d = &slot.d;
 
             if rob.len() >= self.cfg.max_inflight {
                 self.stats.inflight_stalls += 1;

@@ -26,7 +26,7 @@ use crate::config::{ConfigError, SimConfig};
 use crate::dcache::Dcache;
 use crate::pipeline::{SimError, Simulator};
 use ce_isa::OperationKind;
-use ce_workloads::{DynInst, Trace};
+use ce_workloads::{Trace, TraceSlice};
 use std::fmt;
 
 /// Everything that can go wrong starting or running a sampled simulation —
@@ -89,7 +89,11 @@ impl Default for SamplingConfig {
     /// instruction scale, and a sparse window grid aliases against that.
     /// This geometry holds the cycle error under 2% on all seven kernels
     /// across all five Figure 17 organizations (worst case −1.8%,
-    /// compress on the baseline), validated by `sampling_check`.
+    /// compress on the baseline), validated by `sampling_check` at full
+    /// kernel length only. At the 20k CI cap, which explore-full and the
+    /// CI grids sample at, a kernel gets a handful of windows and the
+    /// bound does not hold: compress reads −3.66% (6456 sampled against
+    /// 6701 full cycles).
     fn default() -> SamplingConfig {
         SamplingConfig {
             warmup_insts: 256,
@@ -212,8 +216,7 @@ pub fn try_run_sampled(
 ) -> Result<SampledStats, SampleError> {
     sampling.validate().map_err(SampleError::Sampling)?;
     cfg.validate().map_err(|msg| SampleError::Config(ConfigError(msg)))?;
-    let insts = trace.as_slice();
-    let total = insts.len() as u64;
+    let total = trace.len() as u64;
     // Degenerate but exact: the whole trace fits inside one detailed
     // region (warmup + window + cooldown), so sampling would simulate
     // every instruction in detail anyway — there is nothing to
@@ -244,15 +247,14 @@ pub fn try_run_sampled(
     let mut measured_insts = 0u64;
     let mut measured_cycles = 0u64;
     let mut start = 0usize;
-    while start < insts.len() {
-        let det_end = (start + detailed_len).min(insts.len());
-        let mut sim = Simulator::new(cfg);
-        sim.warm_start(bpred, dcache);
+    while start < trace.len() {
+        let det_end = (start + detailed_len).min(trace.len());
+        let mut sim = Simulator::with_state(cfg, bpred, dcache);
         sim.set_measure_window(
             sampling.warmup_insts,
             sampling.warmup_insts + sampling.window_insts,
         );
-        let stats = sim.run_slice(&insts[start..det_end]).map_err(SampleError::Sim)?;
+        let stats = sim.run_slice(trace.slice(start..det_end)).map_err(SampleError::Sim)?;
         // Boundary marks fall back to "end of slice" for a short final
         // window: a slice ending inside the warmup measures nothing; one
         // ending inside the window measures up to the slice end (and
@@ -266,8 +268,8 @@ pub fn try_run_sampled(
         detailed_insts += stats.committed;
         windows += 1;
         (bpred, dcache) = sim.into_warm_state();
-        let period_end = (start + period).min(insts.len());
-        fast_forward(&mut bpred, &mut dcache, &insts[det_end..period_end]);
+        let period_end = (start + period).min(trace.len());
+        fast_forward(&mut bpred, &mut dcache, trace.slice(det_end..period_end));
         start = period_end;
     }
     debug_assert!(measured_insts > 0, "the first window always measures");
@@ -288,7 +290,7 @@ pub fn try_run_sampled(
 /// conditional branches train the predictor, memory operations touch the
 /// cache. Everything else in the trace is already functionally resolved
 /// (the emulator produced it), so nothing else needs to run.
-fn fast_forward(bpred: &mut Gshare, dcache: &mut Dcache, insts: &[DynInst]) {
+fn fast_forward(bpred: &mut Gshare, dcache: &mut Dcache, insts: TraceSlice<'_>) {
     for d in insts {
         if d.is_conditional_branch() {
             bpred.predict_and_update(d.pc, d.taken);

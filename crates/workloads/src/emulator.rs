@@ -131,6 +131,7 @@ impl Emulator {
         if self.halted {
             trace.mark_completed();
         }
+        trace.shrink_to_fit();
         Ok(trace)
     }
 
@@ -394,7 +395,7 @@ mod tests {
         assert!(trace.is_completed());
         // li(1) + 2×(addiu, bnez) + sw + halt = 7 dynamic instructions.
         assert_eq!(trace.len(), 7);
-        let branches: Vec<&DynInst> =
+        let branches: Vec<DynInst> =
             trace.iter().filter(|d| d.is_conditional_branch()).collect();
         assert_eq!(branches.len(), 2);
         assert!(branches[0].taken);

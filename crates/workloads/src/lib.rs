@@ -40,7 +40,7 @@ pub use emulator::{EmuError, Emulator};
 pub use fault::{corrupt_trace_text, TraceCorruption};
 pub use memory::Memory;
 pub use programs::Benchmark;
-pub use trace::{DynInst, Trace};
+pub use trace::{DynInst, Trace, TraceSlice};
 pub use trace_io::{parse_trace, parse_trace_with, ParseLimits, TraceParseError};
 
 use std::error::Error;

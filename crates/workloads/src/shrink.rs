@@ -33,8 +33,8 @@ fn rebuild(insts: &[DynInst], original: &Trace) -> Trace {
     for d in insts {
         t.push(*d);
     }
-    let kept_last = match (insts.last(), original.as_slice().last()) {
-        (Some(a), Some(b)) => a == b,
+    let kept_last = match (insts.last(), original.iter().next_back()) {
+        (Some(a), Some(b)) => *a == b,
         _ => false,
     };
     if original.is_completed() && kept_last {
@@ -57,7 +57,7 @@ pub fn shrink_trace(trace: &Trace, mut fails: impl FnMut(&Trace) -> bool) -> Tra
     if !fails(trace) {
         return trace.clone();
     }
-    let mut kept: Vec<DynInst> = trace.as_slice().to_vec();
+    let mut kept: Vec<DynInst> = trace.iter().collect();
 
     // Stage 1: shortest failing prefix. `best` is always a verified-failing
     // length; the search only commits cuts the predicate confirms.
@@ -198,7 +198,7 @@ mod tests {
 
         // Failure that pins the last instruction keeps the flag.
         let last_pc = 0x40_0000 + 7 * 4;
-        let shrunk2 = shrink_trace(&t, |c| c.as_slice().last().is_some_and(|d| d.pc == last_pc));
+        let shrunk2 = shrink_trace(&t, |c| c.iter().next_back().is_some_and(|d| d.pc == last_pc));
         assert!(shrunk2.is_completed());
     }
 }

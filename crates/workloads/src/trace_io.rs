@@ -112,7 +112,7 @@ pub fn write_trace<W: Write + ?Sized>(trace: &Trace, out: &mut W) -> io::Result<
     writeln!(out, "ce-trace v1 completed={}", trace.is_completed())?;
     let mut line = [0u8; MAX_LINE];
     for d in trace {
-        let len = put_line(&mut line, d);
+        let len = put_line(&mut line, &d);
         out.write_all(&line[..len])?;
     }
     Ok(())
@@ -214,6 +214,7 @@ pub fn parse_trace_with(text: &str, limits: ParseLimits) -> Result<Trace, TraceP
     if completed {
         trace.mark_completed();
     }
+    trace.shrink_to_fit();
     Ok(trace)
 }
 
