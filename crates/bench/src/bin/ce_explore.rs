@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         let (checkpoint, telemetry) = (opts.checkpoint, opts.telemetry);
         explore(&ExploreOptions { scale, exact, max_insts, checkpoint, telemetry })
     };
-    cli::drive("ce-explore", &args, &plan, sweep, |report| {
+    cli::drive("ce-explore", &args, &plan, Vec::new(), sweep, |report| {
         if !args.obs.quiet {
             let (ok, skip_delay, skip_sim) = row_census(report);
             eprintln!(

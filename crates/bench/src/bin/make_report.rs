@@ -9,8 +9,11 @@
 //! The simulator CSVs come from the Figure 13, 15 and 17 plans, run
 //! through the same sweep driver and `api` renderers as the figure
 //! binaries, each with its manifest next to its CSV; `summary.csv` rides
-//! with the Figure 15 sweep it takes its mean speedup from. Exit codes:
-//! 0 clean, 1 a model refused or a cell failed, 2 a usage or I/O error.
+//! with the Figure 15 sweep it takes its mean speedup from. A cell two
+//! plans share (same benchmark, machine and run options, so the same
+//! cell key) is simulated once: later plans take it from the earlier
+//! one's results. Exit codes: 0 clean, 1 a model refused or a cell
+//! failed, 2 a usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,7 +21,7 @@ use std::process::ExitCode;
 use ce_bench::api::{self, SweepKind};
 use ce_bench::cli::{self, ObsFlags, SweepArgs};
 use ce_bench::delay_csv;
-use ce_bench::runner::SweepSummary;
+use ce_bench::runner::{run_sweep_ft, Job, RunOptions, SweepOptions, SweepSummary, TimedResult};
 use ce_core::analysis::mean_improvement;
 use ce_delay::pipeline::ClockComparison;
 use ce_delay::{FeatureSize, Technology};
@@ -58,9 +61,30 @@ fn main() -> ExitCode {
         }
     }
 
+    // Every cell simulated so far, with the run options it ran under.
+    let mut done: Vec<(Job, RunOptions, TimedResult)> = Vec::new();
     for (kind, csv) in SWEEPS {
         let args = SweepArgs { out: dir.join(csv), resume: false, obs: ObsFlags::default() };
-        let code = cli::drive_plan("make_report", &args, &api::plan(kind), |summary| {
+        let plan = api::plan(kind);
+        let prefill: Vec<Option<TimedResult>> = plan
+            .jobs
+            .iter()
+            .map(|job| {
+                done.iter().find(|(j, run, _)| j == job && *run == plan.run).map(|d| d.2.clone())
+            })
+            .collect();
+        let shared = prefill.iter().flatten().count();
+        if shared > 0 {
+            eprintln!(
+                "make_report: {shared} of {} cells for {csv} shared with an earlier plan",
+                plan.jobs.len()
+            );
+        }
+        let sweep = |max_insts, opts: SweepOptions| run_sweep_ft(&plan.jobs, max_insts, &opts);
+        let code = cli::drive("make_report", &args, &plan, prefill, sweep, |summary| {
+            done.extend(plan.jobs.iter().zip(&summary.cells).filter_map(|(job, cell)| {
+                cell.clone().map(|r| (*job, plan.run, r))
+            }));
             let mut artifacts = api::preset_artifacts(kind, summary);
             if kind == SweepKind::Fig15 {
                 artifacts.push(("summary.csv".into(), summary_csv(summary)));

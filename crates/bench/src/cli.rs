@@ -36,7 +36,7 @@ use crate::api::SweepPlan;
 use crate::checkpoint::{write_atomic, CheckpointSpec};
 use crate::explore::ExploreReport;
 use crate::manifest;
-use crate::runner::{cell_weights, run_sweep_ft, SweepOptions, SweepSummary};
+use crate::runner::{cell_weights, run_sweep_ft, SweepOptions, SweepSummary, TimedResult};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 
 /// The usage fragment for the shared observability flags.
@@ -298,26 +298,37 @@ pub fn drive_plan(
     plan: &SweepPlan,
     render: impl FnOnce(&SweepSummary) -> Vec<(String, String)>,
 ) -> ExitCode {
-    drive(name, args, plan, |max_insts, opts| run_sweep_ft(&plan.jobs, max_insts, &opts), render)
+    drive(
+        name,
+        args,
+        plan,
+        Vec::new(),
+        |max_insts, opts| run_sweep_ft(&plan.jobs, max_insts, &opts),
+        render,
+    )
 }
 
 /// The sweep driver: runs `plan` under the telemetry and checkpoint
 /// `args` ask for, applies the end-of-sweep policy of the module docs,
 /// and returns the exit code: 0 clean, 1 cell failures, 2 I/O errors.
 ///
+/// `prefill` is [`SweepOptions::prefill`]: cells this process already
+/// simulated (`make_report` shares cells between its plans), or empty.
+/// They are neither simulated again nor reported as resumed.
 /// `sweep` runs the cells, given the instruction cap and the
 /// [`SweepOptions`] (the plan's run options, the checkpoint, the
-/// telemetry): [`run_sweep_ft`], or [`crate::explore::explore`] for
-/// `ce-explore`. `render` sees only a sweep without failures; it prints
-/// the binary's console table and returns its artifacts as `(file name,
-/// content)` pairs. The first lands at `--out`, the others next to it
-/// under their own names, and the manifest (at `--manifest`, or next to
-/// `--out`) vouches for every one with the cache key of `(code version,
-/// traces, configs, options)`.
+/// telemetry, the prefill): [`run_sweep_ft`], or
+/// [`crate::explore::explore`] for `ce-explore`. `render` sees only a
+/// sweep without failures; it prints the binary's console table and
+/// returns its artifacts as `(file name, content)` pairs. The first
+/// lands at `--out`, the others next to it under their own names, and
+/// the manifest (at `--manifest`, or next to `--out`) vouches for every
+/// one with the cache key of `(code version, traces, configs, options)`.
 pub fn drive<R: SweepOutput>(
     name: &str,
     args: &SweepArgs,
     plan: &SweepPlan,
+    prefill: Vec<Option<TimedResult>>,
     sweep: impl FnOnce(u64, SweepOptions) -> std::io::Result<R>,
     render: impl FnOnce(&R) -> Vec<(String, String)>,
 ) -> ExitCode {
@@ -336,10 +347,12 @@ pub fn drive<R: SweepOutput>(
             return ExitCode::from(2);
         }
     };
+    let shared = prefill.iter().flatten().count();
     let opts = SweepOptions {
         run: plan.run,
         checkpoint: Some(args.checkpoint()),
         telemetry,
+        prefill,
         ..SweepOptions::default()
     };
     let output = match sweep(max_insts, opts) {
@@ -350,10 +363,10 @@ pub fn drive<R: SweepOutput>(
         }
     };
     let summary = output.summary();
-    if summary.resumed > 0 && !args.obs.quiet {
+    let resumed = summary.resumed.saturating_sub(shared);
+    if resumed > 0 && !args.obs.quiet {
         eprintln!(
-            "{name}: resumed {} of {} cells from {}",
-            summary.resumed,
+            "{name}: resumed {resumed} of {} cells from {}",
             summary.cells.len(),
             args.checkpoint().path.display()
         );

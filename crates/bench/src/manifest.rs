@@ -6,15 +6,16 @@
 //! reproduce them*. The manifest carries a **cache key** — an FNV-1a
 //! hash over the three inputs the simulation is a pure function of:
 //!
-//! 1. **trace fingerprint** per benchmark — a hash of the serialized
-//!    dynamic trace ([`ce_workloads::trace_io::write_trace`]'s exact
-//!    bytes, streamed into the hash) at the sweep's instruction cap, so
-//!    any change to a kernel, the emulator, or the cap changes the key;
+//! 1. **trace fingerprint** per benchmark — a hash of the dynamic
+//!    trace's records ([`Trace::write_canonical`]'s stream) at the
+//!    sweep's instruction cap, so any change to a kernel, the emulator,
+//!    or the cap changes the key;
 //! 2. **config fingerprint** per machine — a hash of the full
 //!    [`SimConfig`] debug form (every field participates, the same
 //!    convention the checkpoint sweep id uses);
-//! 3. **code version** — `CARGO_PKG_VERSION`, overridable with the
-//!    `CE_CODE_VERSION` environment variable so CI can pin a git SHA.
+//! 3. **code version** — a digest of the simulating crates' sources and
+//!    the build profile, taken at build time, overridable with the
+//!    `CE_CODE_VERSION` environment variable.
 //!
 //! This is the exact key the planned `cesimd` result cache (ROADMAP
 //! item 1) will look up: same key → the cached cells are valid; any
@@ -30,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ce_sim::SimConfig;
-use ce_workloads::{trace_cached, trace_io::write_trace, Benchmark};
+use ce_workloads::{trace_cached, Benchmark, Trace};
 
 use crate::checkpoint::write_atomic;
 use crate::runner::{Job, RunOptions, SweepSummary};
@@ -39,9 +40,8 @@ use crate::runner::{Job, RunOptions, SweepSummary};
 pub const MANIFEST_SCHEMA: &str = "ce-bench.manifest.v1";
 
 /// Incremental FNV-1a (64-bit) — the repo's one hash, shared with the
-/// checkpoint sweep id. `fmt::Write` and `io::Write` are implemented so
-/// debug forms and streamed traces can be hashed without materializing
-/// the string.
+/// checkpoint sweep id. `fmt::Write` is implemented so debug forms can
+/// be hashed without materializing the string.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -78,17 +78,6 @@ impl std::fmt::Write for Fnv64 {
     }
 }
 
-impl std::io::Write for Fnv64 {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.eat(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Hashes one string through FNV-1a, returning the 16-hex form.
 fn fnv_hex(text: &str) -> String {
     let mut h = Fnv64::default();
@@ -97,18 +86,28 @@ fn fnv_hex(text: &str) -> String {
 }
 
 /// The code-version component of the cache key: the `CE_CODE_VERSION`
-/// environment variable when set (CI pins the git SHA), else the crate
-/// version baked in at compile time.
+/// environment variable when set, else the digest `build.rs` takes of
+/// every source file of ce-sim, ce-workloads, ce-core, ce-isa and
+/// ce-delay and of the build profile, so an edit to code that can change
+/// a result changes every key.
 pub fn code_version() -> String {
-    std::env::var("CE_CODE_VERSION").unwrap_or_else(|_| env!("CARGO_PKG_VERSION").to_owned())
+    std::env::var("CE_CODE_VERSION").unwrap_or_else(|_| env!("CE_SOURCE_DIGEST").to_owned())
+}
+
+/// Fingerprint of a trace: FNV-1a over [`Trace::write_canonical`]'s
+/// stream of its records, in the 16-hex form. Equal `DynInst` sequences
+/// with equal completion flags fingerprint alike however the traces were
+/// built.
+pub fn fingerprint_trace(trace: &Trace) -> String {
+    let mut h = Fnv64::default();
+    trace.write_canonical(|bytes| h.eat(bytes));
+    h.hex()
 }
 
 /// Fingerprint of one benchmark's dynamic trace at an instruction cap:
-/// FNV-1a over the exact serialized trace text, streamed into the hash
-/// line by line so the text is never built. Memoized process-wide per
-/// `(benchmark, cap)` — hashing a full-length trace still streams tens of
-/// MB of text through the hash, and every manifest of a sweep asks for
-/// the same seven.
+/// [`fingerprint_trace`] of the cached trace. Memoized process-wide per
+/// `(benchmark, cap)`, because every manifest of a sweep asks for the
+/// same seven.
 ///
 /// # Errors
 ///
@@ -121,9 +120,7 @@ pub fn trace_fingerprint(bench: Benchmark, max_insts: u64) -> Result<String, Str
         return Ok(hit.clone());
     }
     let trace = trace_cached(bench, max_insts).map_err(|e| e.to_string())?;
-    let mut h = Fnv64::default();
-    write_trace(&trace, &mut h).expect("hashing cannot fail");
-    let fp = h.hex();
+    let fp = fingerprint_trace(&trace);
     memo.insert((bench, max_insts), fp.clone());
     Ok(fp)
 }
@@ -386,6 +383,18 @@ mod tests {
         let mut via_fmt = Fnv64::default();
         write!(via_fmt, "a").unwrap();
         assert_eq!(via_fmt.digest(), h.digest());
+    }
+
+    /// Without the override the code version is the build's source
+    /// digest, not the crate version every build shares.
+    #[test]
+    fn code_version_defaults_to_the_source_digest() {
+        if std::env::var_os("CE_CODE_VERSION").is_some() {
+            return;
+        }
+        let version = code_version();
+        assert_eq!(version.len(), 16, "{version}");
+        assert!(version.bytes().all(|b| b.is_ascii_hexdigit()), "{version}");
     }
 
     /// Cell keys are deterministic, sensitive to every component (code

@@ -172,7 +172,7 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> RunError {
 }
 
 /// Per-run knobs applied uniformly to every job of a sweep.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunOptions {
     /// Enable the stall-attribution accountant on every cell (fills
     /// `SimStats::stall_breakdown`; timing is unchanged, wall time pays a

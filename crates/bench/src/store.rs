@@ -10,8 +10,8 @@
 //! with a current key. Each entry therefore also records the
 //! `code_version` string in the clear, and [`ResultStore::lookup`]
 //! treats a mismatch as [`Lookup::Stale`] — the entry is deleted, never
-//! silently served. (`CE_CODE_VERSION` is how CI distinguishes builds;
-//! see [`crate::manifest::code_version`].)
+//! silently served. (Each build's code version is a digest of the
+//! simulating crates' sources; see [`crate::manifest::code_version`].)
 //!
 //! Entries are written with [`checkpoint::write_atomic`] (tempfile +
 //! rename), so a `kill -9` mid-insert leaves either the old entry or

@@ -1,11 +1,17 @@
 //! The streamed trace serializer is pinned to the original `format!`
 //! rendering of the text format, and the trace fingerprint to FNV-1a of
-//! that text. Cell keys, manifests and every stored `cesimd` result are
-//! keyed on these fingerprints, so a silent change to either would turn
-//! every stored result into a cache miss — and the pinned CSVs, which
-//! carry no fingerprints, would not notice.
+//! the trace's canonical record stream (`Trace::write_canonical`). Cell
+//! keys, manifests and every stored `cesimd` result are keyed on these
+//! fingerprints, so a silent change to the stream would turn every
+//! stored result into a cache miss — and the pinned CSVs, which carry no
+//! fingerprints, would not notice.
+//!
+//! The fingerprints once hashed the trace text. Hashing the 8-byte
+//! records instead costs a fifth as much per instruction, and it moved
+//! every fingerprint, and so every cache key, to the values pinned
+//! below.
 
-use ce_bench::manifest::{trace_fingerprint, Fnv64};
+use ce_bench::manifest::{fingerprint_trace, trace_fingerprint};
 use ce_isa::{encode, Instruction, Opcode, Reg};
 use ce_workloads::shrink::shrink_trace;
 use ce_workloads::synthetic::{generate, SyntheticConfig};
@@ -31,11 +37,13 @@ fn reference_text(trace: &Trace) -> String {
     out
 }
 
-/// FNV-1a (64-bit) in the 16-hex form, written out independently of
-/// `Fnv64`.
-fn fnv1a_hex(bytes: &[u8]) -> String {
+/// FNV-1a (64-bit) of the trace's canonical stream in the 16-hex form,
+/// written out independently of `Fnv64`.
+fn fnv1a_hex(trace: &Trace) -> String {
+    let mut bytes = Vec::new();
+    trace.write_canonical(|b| bytes.extend_from_slice(b));
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -58,8 +66,8 @@ fn assert_same_bytes(what: &str, got: &[u8], want: &[u8]) {
 }
 
 /// The streamed bytes, the collected `String` and the reference text
-/// agree, and streaming into `Fnv64`, as the trace fingerprint does,
-/// gives FNV-1a of them. Returns that fingerprint.
+/// agree, and the trace fingerprint is FNV-1a of the record stream.
+/// Returns that fingerprint.
 fn check(what: &str, trace: &Trace) -> String {
     let want = reference_text(trace);
     let mut streamed = Vec::new();
@@ -67,13 +75,13 @@ fn check(what: &str, trace: &Trace) -> String {
     assert_same_bytes(&format!("{what} (write_trace)"), &streamed, want.as_bytes());
     let collected = format_trace(trace);
     assert_same_bytes(&format!("{what} (format_trace)"), collected.as_bytes(), want.as_bytes());
-    let fp = fnv1a_hex(want.as_bytes());
-    let mut hashed = Fnv64::default();
-    write_trace(trace, &mut hashed).unwrap();
-    assert_eq!(hashed.hex(), fp, "{what}");
+    let fp = fingerprint_trace(trace);
+    assert_eq!(fp, fnv1a_hex(trace), "{what}");
     fp
 }
 
+/// Every kernel's trace round-trips through its text, and the trace read
+/// back fingerprints as the emulated one does.
 #[test]
 fn kernel_traces_match_the_reference_at_every_cap() {
     for bench in Benchmark::all() {
@@ -82,23 +90,25 @@ fn kernel_traces_match_the_reference_at_every_cap() {
             let trace = trace_benchmark(bench, cap).unwrap();
             let fp = check(&what, &trace);
             assert_eq!(trace_fingerprint(bench, cap).unwrap(), fp, "{what}");
-            assert!(parse_trace(&format_trace(&trace)).unwrap() == trace, "{what}");
+            let parsed = parse_trace(&format_trace(&trace)).unwrap();
+            assert!(parsed == trace, "{what}");
+            assert_eq!(fingerprint_trace(&parsed), fp, "{what} (parsed)");
         }
     }
 }
 
-/// The seven CI-cap fingerprints as the `format!` serializer produced
-/// them. Every stored result cached at this cap is keyed on these.
+/// The seven CI-cap fingerprints of the record stream. Every stored
+/// result cached at this cap is keyed on these.
 #[test]
 fn ci_cap_fingerprints_are_pinned() {
     let pinned = [
-        (Benchmark::Compress, "710a4230d670a160"),
-        (Benchmark::Gcc, "59475cd5be30938a"),
-        (Benchmark::Go, "4d541615e40c1a82"),
-        (Benchmark::Li, "59793e4ef7be81ea"),
-        (Benchmark::M88ksim, "0ce37ab6d23f6066"),
-        (Benchmark::Perl, "cad4150a898d1dde"),
-        (Benchmark::Vortex, "d2af7fab8e87828a"),
+        (Benchmark::Compress, "fdf6827fdd5b01d2"),
+        (Benchmark::Gcc, "ab4910fa727ede40"),
+        (Benchmark::Go, "e55a1e2f2bbc49e9"),
+        (Benchmark::Li, "06880bad0194cc0a"),
+        (Benchmark::M88ksim, "9bec9e952c3bff9d"),
+        (Benchmark::Perl, "eb7127dd51ed7e4b"),
+        (Benchmark::Vortex, "0e457ed7960455bd"),
     ];
     for (bench, want) in pinned {
         assert_eq!(trace_fingerprint(bench, 20_000).unwrap(), want, "{bench}");

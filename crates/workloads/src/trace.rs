@@ -17,8 +17,11 @@
 //! corrupted one: a load without an address, a fall-through that does
 //! not fall through) is kept verbatim in an exception list, so every
 //! sequence reads back exactly.
+//!
+//! [`Trace::write_canonical`] streams the records themselves, for the
+//! manifest's trace fingerprint.
 
-use ce_isa::{Instruction, Opcode, OperationKind};
+use ce_isa::{encode, Instruction, Opcode, OperationKind};
 use std::collections::HashMap;
 use std::ops::{Bound, RangeBounds};
 
@@ -141,6 +144,10 @@ struct Record {
 
 /// The key of a record kept verbatim in the exception list.
 const ESCAPE: u32 = u32::MAX;
+
+/// Opens [`Trace::write_canonical`]'s stream; a new stream layout takes
+/// a new tag.
+const CANONICAL_TAG: &[u8] = b"ce-trace records v1\n";
 
 /// Entries of the pc-keyed direct-mapped memo in front of the interning
 /// map; a kernel's text is far smaller, so its pushes always hit.
@@ -347,6 +354,49 @@ impl Trace {
         };
         assert!(start <= end && end <= self.len(), "trace range {start}..{end} out of bounds");
         TraceSlice { trace: self, start, end }
+    }
+
+    /// Writes the trace's canonical byte stream to `sink`, read straight
+    /// from the records: a tag, then per record its key word, followed
+    /// the first time a record uses a site by that site's `pc` and
+    /// instruction word, and by the aux word when the site's kind carries
+    /// one (an address, a `jr`/`jalr` target). An escaped record is
+    /// followed by its instruction verbatim instead: `pc`, instruction
+    /// word, `next_pc`, a flags word (bit 0 taken, bit 1 has an address)
+    /// and the address. The completion flag comes last. Words are
+    /// little-endian `u32`s.
+    ///
+    /// Sites are interned in first-push order and a record is built from
+    /// its instruction alone, so the stream is a function of the pushed
+    /// `DynInst` sequence and the completion flag: an emulated trace, its
+    /// parsed text and a trace collected from its `iter()` stream the
+    /// same bytes. Every record opens with its key, which tells a reader
+    /// what follows it, so the stream splits back into its records.
+    pub fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
+        sink(CANONICAL_TAG);
+        let mut seen = vec![false; self.sites.len()];
+        for r in &self.records {
+            sink(&r.key.to_le_bytes());
+            if r.key == ESCAPE {
+                let d = &self.exceptions[r.aux as usize];
+                let flags = u32::from(d.taken) | u32::from(d.mem_addr.is_some()) << 1;
+                for word in [d.pc, encode(&d.inst), d.next_pc, flags, d.mem_addr.unwrap_or(0)] {
+                    sink(&word.to_le_bytes());
+                }
+                continue;
+            }
+            let index = (r.key >> 1) as usize;
+            let site = &self.sites[index];
+            if !seen[index] {
+                seen[index] = true;
+                sink(&site.pc.to_le_bytes());
+                sink(&encode(&site.inst).to_le_bytes());
+            }
+            if site.aux != Aux::Unused {
+                sink(&r.aux.to_le_bytes());
+            }
+        }
+        sink(&[u8::from(self.completed)]);
     }
 
     /// Decodes the record at `seq`. An exception was stored with its

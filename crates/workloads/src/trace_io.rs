@@ -16,9 +16,10 @@
 //!
 //! [`write_trace`] is the one serializer: it renders each line into a
 //! stack buffer and hands it to any [`Write`] sink, so a trace can be
-//! saved through a buffered file or hashed (the manifest's trace
-//! fingerprint) without its text ever existing as one string.
-//! [`format_trace`] collects the same bytes into a `String`.
+//! saved through a buffered file without its text ever existing as one
+//! string. [`format_trace`] collects the same bytes into a `String`.
+//! (The manifest's trace fingerprint does not read the text; it hashes
+//! the records, see [`Trace::write_canonical`].)
 
 use crate::trace::{DynInst, Trace};
 use ce_isa::{decode, encode};

@@ -1,6 +1,8 @@
 //! The decode-once trace encoding: any pushed `DynInst` sequence reads
-//! back exactly (through `get`, `iter`, slices and the serializer), and a
-//! kernel's trace costs 8 bytes per instruction plus its site table.
+//! back exactly (through `get`, `iter`, slices and the serializer), its
+//! canonical record stream fingerprints the sequence and nothing else,
+//! and a kernel's trace costs 8 bytes per instruction plus its site
+//! table.
 
 use ce_isa::{encode, Instruction, Opcode, Reg};
 use ce_workloads::trace_io::write_trace;
@@ -79,6 +81,28 @@ fn format_directly(insts: &[DynInst], completed: bool) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// FNV-1a (64-bit) of the trace's canonical stream, as the manifest's
+/// trace fingerprint hashes it.
+fn fingerprint(trace: &Trace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    trace.write_canonical(|bytes| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    });
+    h
+}
+
+/// The trace `insts` push into, completed or not.
+fn traced(insts: &[DynInst], completed: bool) -> Trace {
+    let mut trace: Trace = insts.iter().copied().collect();
+    if completed {
+        trace.mark_completed();
+    }
+    trace
+}
+
 proptest! {
     /// Whatever the mix of derivable records and exceptions, the trace
     /// reads back the input (re-sequenced), slices keep their sequence
@@ -128,6 +152,63 @@ proptest! {
         let mut bytes = Vec::new();
         write_trace(&trace, &mut bytes).expect("writing to a Vec cannot fail");
         prop_assert_eq!(bytes, format_directly(&expected, completed));
+    }
+
+    /// The fingerprint follows the pushed sequence and the completion
+    /// flag alone: pushing in one go, pushing with a `shrink_to_fit`
+    /// midway and collecting another trace's `iter()` agree, and changing
+    /// any one field of one instruction that the trace text shows, the
+    /// flag, or the length changes it.
+    #[test]
+    fn fingerprints_follow_the_sequence_alone(
+        draws in proptest::collection::vec(
+            (0usize..4, 0usize..10, any::<bool>(), 0u8..4, any::<u32>(), 0u8..4),
+            1..200,
+        ),
+        completed in any::<bool>(),
+        at in any::<usize>(),
+    ) {
+        let input = build(&draws);
+        let at_once = traced(&input, completed);
+        let want = fingerprint(&at_once);
+
+        let half = input.len() / 2;
+        let mut midway: Trace = input[..half].iter().copied().collect();
+        midway.shrink_to_fit();
+        midway.extend(input[half..].iter().copied());
+        if completed {
+            midway.mark_completed();
+        }
+        prop_assert_eq!(fingerprint(&midway), want);
+        let copied: Vec<DynInst> = at_once.iter().collect();
+        prop_assert_eq!(fingerprint(&traced(&copied, completed)), want);
+
+        let i = at % input.len();
+        let d = input[i];
+        let other = instructions()
+            .into_iter()
+            .find(|inst| encode(inst) != encode(&d.inst))
+            .expect("ten distinct words");
+        let mutants = [
+            ("pc", DynInst { pc: d.pc.wrapping_add(4), ..d }),
+            ("instruction word", DynInst { inst: other, ..d }),
+            ("next_pc", DynInst { next_pc: d.next_pc ^ 4, ..d }),
+            ("taken", DynInst { taken: !d.taken, ..d }),
+            ("mem_addr", DynInst { mem_addr: Some(d.mem_addr.map_or(0, |a| a ^ 1)), ..d }),
+            ("mem_addr presence", DynInst { mem_addr: d.mem_addr.xor(Some(0)), ..d }),
+        ];
+        for (field, mutant) in mutants {
+            let mut changed = input.clone();
+            changed[i] = mutant;
+            let fp = fingerprint(&traced(&changed, completed));
+            prop_assert_ne!(fp, want, "changing instruction {}'s {}", i, field);
+        }
+        prop_assert_ne!(fingerprint(&traced(&input, !completed)), want, "completion flag");
+        let dropped = &input[..input.len() - 1];
+        prop_assert_ne!(fingerprint(&traced(dropped, completed)), want, "one dropped");
+        let mut appended = input.clone();
+        appended.push(d);
+        prop_assert_ne!(fingerprint(&traced(&appended, completed)), want, "one appended");
     }
 }
 
