@@ -1,5 +1,6 @@
 //! Performance snapshot of the simulator: runs the full Figure 17 sweep
-//! (5 organizations × 7 kernels) — full-detail *and* sampled — and writes
+//! (5 organizations × 7 kernels) through the experiment runner —
+//! full-detail *and* sampled — and writes
 //! `BENCH_sim.json` with per-cell wall time, simulated cycles per second,
 //! the worker count and longest-first dispatch schedule actually used
 //! (so a bench gate reproduces schedule-and-all on another machine), and
@@ -17,12 +18,11 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use ce_bench::runner;
-use ce_sim::{machine, run_sampled, SampledStats, SamplingConfig};
+use ce_bench::json::Json;
+use ce_bench::runner::{self, RunOptions};
+use ce_sim::{machine, SamplingConfig};
 use ce_workloads::{trace_cached, Benchmark};
 
 fn main() {
@@ -32,28 +32,24 @@ fn main() {
     let machines = machine::figure17_machines();
     let total_start = Instant::now();
 
-    // Generate all seven traces up front (in parallel), so the per-cell
-    // times below measure the simulator alone.
+    // Generate all seven traces up front (on the runner's pool), so the
+    // per-cell times below measure the simulator alone.
     let load_start = Instant::now();
-    std::thread::scope(|scope| {
-        for bench in Benchmark::all() {
-            scope.spawn(move || {
-                trace_cached(bench, cap).unwrap_or_else(|e| panic!("tracing {bench}: {e}"));
-            });
+    let benches = Benchmark::all();
+    let order: Vec<usize> = (0..benches.len()).collect();
+    let traced = runner::pool(&order, |i, _| trace_cached(benches[i], cap).map(drop));
+    for (bench, traced) in benches.iter().zip(traced) {
+        match traced {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("tracing {bench}: {e}"),
+            Err(e) => panic!("tracing {bench}: {e}"),
         }
-    });
+    }
     let trace_load_s = load_start.elapsed().as_secs_f64();
 
     let jobs = runner::grid(&machines);
-    let summary = runner::run_sweep(&jobs, cap, runner::RunOptions::default());
-    let results: Vec<&runner::TimedResult> = summary
-        .cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            c.as_ref().unwrap_or_else(|| panic!("cell {i} failed: {:?}", summary.failures))
-        })
-        .collect();
+    let summary = runner::run_sweep(&jobs, cap, RunOptions::default());
+    let results: Vec<&runner::TimedResult> = summary.ok_cells().collect();
     // The sweep's own clocks (satellite of the telemetry PR): wall and
     // per-cell extremes come from the SweepSummary, not ad-hoc timers,
     // so this snapshot agrees byte-for-byte with what manifests record.
@@ -84,18 +80,18 @@ fn main() {
     }
     let cells = cells.trim_end().trim_end_matches(',').to_owned();
 
-    // Sampled sweep over the same grid: default geometry, same worker
-    // pool and dispatch order as the full sweep, errors judged against
-    // the full-detail cycles just measured.
+    // Sampled sweep over the same grid: default geometry, same runner and
+    // dispatch order as the full sweep, errors judged against the
+    // full-detail cycles just measured.
     let sampling = SamplingConfig::default();
-    let order = runner::schedule_order(&jobs, cap);
-    let sampled_start = Instant::now();
-    let sampled = run_sampled_grid(&jobs, cap, sampling, &order);
-    let sampled_sweep_wall_s = sampled_start.elapsed().as_secs_f64();
+    let sampled_opts = RunOptions { sampled: Some(sampling), ..RunOptions::default() };
+    let sampled = runner::run_sweep(&jobs, cap, sampled_opts);
+    let sampled_sweep_wall_s = sampled.sweep_wall.as_secs_f64();
 
     let mut sampled_cells = String::new();
     let mut max_abs_err = 0.0_f64;
-    for (i, ((bench, _), (stats, wall_s))) in jobs.iter().zip(&sampled).enumerate() {
+    for (i, ((bench, _), cell)) in jobs.iter().zip(sampled.ok_cells()).enumerate() {
+        let stats = cell.sampled.as_ref().expect("a sampled cell carries its measurement");
         let err = stats.cycle_error_vs(results[i].stats.cycles);
         max_abs_err = max_abs_err.max(err.abs());
         let _ = writeln!(
@@ -107,12 +103,12 @@ fn main() {
             stats.est_cycles,
             results[i].stats.cycles,
             err,
-            wall_s,
+            cell.wall.as_secs_f64(),
         );
     }
     let sampled_cells = sampled_cells.trim_end().trim_end_matches(',').to_owned();
     let schedule_json =
-        order.iter().map(usize::to_string).collect::<Vec<_>>().join(", ");
+        summary.schedule.iter().map(usize::to_string).collect::<Vec<_>>().join(", ");
 
     let baseline = read_baseline_sweep_wall("results/BENCH_baseline.json");
     let (baseline_json, speedup_json, effective_json) = match baseline {
@@ -187,52 +183,8 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// Runs the sampled sweep over the grid with the same worker-pool shape
-/// as the full sweep (`CE_THREADS` workers pulling cells longest-first),
-/// returning per-cell `(stats, wall_s)` in input order.
-fn run_sampled_grid(
-    jobs: &[runner::Job],
-    cap: u64,
-    sampling: SamplingConfig,
-    order: &[usize],
-) -> Vec<(SampledStats, f64)> {
-    let n = jobs.len();
-    let workers = runner::threads().min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(SampledStats, f64)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let i = order[k];
-                let (bench, cfg) = jobs[i];
-                let trace = trace_cached(bench, cap)
-                    .unwrap_or_else(|e| panic!("tracing {bench}: {e}"));
-                let start = Instant::now();
-                let stats = run_sampled(cfg, &trace, sampling)
-                    .unwrap_or_else(|e| panic!("sampled {bench}: {e}"));
-                *slots[i].lock().expect("slot poisoned") =
-                    Some((stats, start.elapsed().as_secs_f64()));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot poisoned").expect("all cells run"))
-        .collect()
-}
-
-/// Pulls `"sweep_wall_s": <number>` out of a previously written snapshot.
-/// Hand-rolled (no JSON dependency): the file is our own output format.
+/// The top-level `sweep_wall_s` of a previously written snapshot.
 fn read_baseline_sweep_wall(path: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"sweep_wall_s\":";
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Json::parse(&text).ok()?.at("sweep_wall_s")?.as_f64()
 }

@@ -1,12 +1,16 @@
 //! `diffcheck` — differential acceptance harness.
 //!
 //! Runs every organization of a grid on every benchmark kernel twice: once
-//! through the optimized [`Simulator`] with its per-cycle invariant
-//! checker enabled, once through the deliberately naive
-//! [`OracleSimulator`], and demands *bit-identical* statistics
-//! fingerprints. Each cell is a `pass` or `fail` case of one
-//! [`campaign`](ce_bench::campaign) report, tallied per kernel.
-//! Exit codes: 0 every cell bit-identical, 1 any cell diverged, 2 usage
+//! through the optimized [`Simulator`](ce_sim::Simulator) with its
+//! per-cycle invariant checker enabled, once through the deliberately
+//! naive [`OracleSimulator`](ce_sim::OracleSimulator), and demands
+//! *bit-identical* statistics fingerprints. Each cell is a `pass` or
+//! `fail` case of one [`campaign`](ce_bench::campaign) report, tallied
+//! per kernel; the cells run longest first on the runner's worker pool
+//! ([`ce_bench::verify::oracle_cases`]). A cell that diverges, errors
+//! (the invariant checker firing, say) or panics (the oracle's deadlock
+//! assertion) is a `fail` case naming why, and the report still prints.
+//! Exit codes: 0 every cell bit-identical, 1 any cell failed, 2 usage
 //! error (an unknown grid, flag or kernel).
 //!
 //! The grid is the five Figure 17 organizations by default, or every
@@ -19,21 +23,13 @@
 //! CE_THREADS=4 diffcheck       # bound the worker pool
 //! ```
 
-use ce_bench::campaign::{refuse, Case, Report, Verdict};
+use ce_bench::campaign::{refuse, Report};
 use ce_bench::explore::{simulated_points, GridScale};
-use ce_bench::runner;
-use ce_sim::{machine, OracleSimulator, SimConfig, Simulator};
-use ce_workloads::{trace_cached, Benchmark};
+use ce_bench::runner::Job;
+use ce_bench::verify::oracle_cases;
+use ce_sim::{machine, SimConfig};
+use ce_workloads::Benchmark;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-struct Cell {
-    machine: String,
-    bench: Benchmark,
-    cfg: SimConfig,
-}
 
 /// The organizations `--grid` names, with their labels.
 fn organizations(grid: &str) -> Option<Vec<(String, SimConfig)>> {
@@ -47,33 +43,6 @@ fn organizations(grid: &str) -> Option<Vec<(String, SimConfig)>> {
         "explore-tiny" => Some(explorer(GridScale::Tiny)),
         "explore" => Some(explorer(GridScale::Full)),
         _ => None,
-    }
-}
-
-fn check_cell(cell: &Cell, cap: u64) -> Case {
-    let start = Instant::now();
-    let (verdict, detail) = grade(cell, cap);
-    let (class, name) = (cell.bench.name(), cell.machine.clone());
-    Case { class, name, verdict, detail, wall: start.elapsed() }
-}
-
-fn grade(cell: &Cell, cap: u64) -> (Verdict, String) {
-    let trace = match trace_cached(cell.bench, cap) {
-        Ok(t) => t,
-        Err(e) => return (Verdict::Fail, format!("tracing failed: {e}")),
-    };
-    let mut checked = cell.cfg;
-    checked.check = true;
-    let optimized = match Simulator::try_new(checked) {
-        Ok(sim) => sim.run(&trace),
-        Err(e) => return (Verdict::Fail, e.to_string()),
-    };
-    let oracle = OracleSimulator::new(cell.cfg).run(&trace);
-    if optimized.fingerprint() == oracle.fingerprint() {
-        (Verdict::Pass, format!("{} cycles", optimized.cycles))
-    } else {
-        let (optimized, oracle) = (optimized.fingerprint(), oracle.fingerprint());
-        (Verdict::Fail, format!("optimized {optimized} vs oracle {oracle}"))
     }
 }
 
@@ -105,10 +74,10 @@ fn main() -> ExitCode {
 
     let cap = ce_bench::max_insts();
     let n_orgs = orgs.len();
-    let cells: Vec<Cell> = orgs
+    let cells: Vec<(String, Job)> = orgs
         .into_iter()
         .flat_map(|(machine, cfg)| {
-            benchmarks.iter().map(move |&bench| Cell { machine: machine.clone(), bench, cfg })
+            benchmarks.iter().map(move |&bench| (machine.clone(), (bench, cfg)))
         })
         .collect();
     println!(
@@ -117,31 +86,11 @@ fn main() -> ExitCode {
         benchmarks.len(),
     );
 
-    // Same work-stealing fan-out as the experiment runner: results land in
-    // input order regardless of completion order.
-    let n = cells.len();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Case>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..runner::threads().min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("slot poisoned") = Some(check_cell(&cells[i], cap));
-            });
-        }
-    });
-
     let mut report = Report::new("diffcheck");
-    report.cases = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot poisoned").expect("every slot filled"))
-        .collect();
+    report.cases = oracle_cases(&cells, cap);
     println!("{report}");
     if report.violations().next().is_none() {
-        println!("diffcheck: all {n} cells bit-identical");
+        println!("diffcheck: all {} cells bit-identical", cells.len());
     }
     report.exit_code()
 }

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ce_bench::json::Json;
-use ce_bench::manifest::{Artifact, MANIFEST_SCHEMA};
+use ce_bench::manifest::{verify_artifacts, ArtifactFault, MANIFEST_SCHEMA};
 use ce_bench::metrics_check::check_required;
 
 /// The schema-file tag this checker expects.
@@ -125,46 +125,36 @@ fn check_digests(doc: &Json) -> Vec<String> {
     problems
 }
 
-/// Re-hashes every listed artifact and compares against the manifest.
-/// Artifacts resolve by file name next to the manifest — the layout
-/// every producer writes.
+/// Re-hashes every listed artifact and compares against the manifest
+/// ([`verify_artifacts`]: by file name next to the manifest, the layout
+/// every producer writes).
 fn check_artifacts(doc: &Json, manifest_path: &Path) -> Vec<String> {
     let mut problems = Vec::new();
-    let dir = manifest_path.parent().unwrap_or(Path::new("."));
     let Some(artifacts) = doc.at("artifacts").and_then(Json::as_arr) else {
         return problems; // shape problems already reported
     };
     if artifacts.is_empty() {
         problems.push("artifacts list is empty".to_owned());
     }
-    for (i, entry) in artifacts.iter().enumerate() {
-        let (Some(path), Some(bytes), Some(fnv)) = (
-            entry.at("path").and_then(Json::as_str),
-            entry.at("bytes").and_then(Json::as_u64),
-            entry.at("fnv64").and_then(Json::as_str),
-        ) else {
-            continue; // shape problems already reported
-        };
-        let file = Path::new(path)
-            .file_name()
-            .map_or_else(|| PathBuf::from(path), |name| dir.join(name));
-        match Artifact::describe(&file) {
-            Err(e) => {
-                problems.push(format!("artifacts.{i}: reading {}: {e}", file.display()));
+    let dir = manifest_path.parent().unwrap_or(Path::new("."));
+    for (i, checked) in verify_artifacts(doc, dir).into_iter().enumerate() {
+        match checked {
+            Ok(_) | Err(ArtifactFault::NoPath) => {} // shape problems already reported
+            Err(ArtifactFault::Unreadable { path, error }) => {
+                problems.push(format!("artifacts.{i}: reading {}: {error}", path.display()));
             }
-            Ok(actual) => {
-                if actual.bytes != bytes {
+            Err(ArtifactFault::Mismatch { found, bytes, fnv64 }) => {
+                let file = found.path.display();
+                if let Some(bytes) = bytes.filter(|&b| b != found.bytes) {
                     problems.push(format!(
-                        "artifacts.{i}: {} is {} bytes, manifest says {bytes}",
-                        file.display(),
-                        actual.bytes
+                        "artifacts.{i}: {file} is {} bytes, manifest says {bytes}",
+                        found.bytes
                     ));
                 }
-                if actual.fnv64 != fnv {
+                if let Some(fnv) = fnv64.filter(|f| *f != found.fnv64) {
                     problems.push(format!(
-                        "artifacts.{i}: {} hashes to {}, manifest says {fnv}",
-                        file.display(),
-                        actual.fnv64
+                        "artifacts.{i}: {file} hashes to {}, manifest says {fnv}",
+                        found.fnv64
                     ));
                 }
             }

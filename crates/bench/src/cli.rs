@@ -347,7 +347,6 @@ pub fn drive<R: SweepOutput>(
             return ExitCode::from(2);
         }
     };
-    let shared = prefill.iter().flatten().count();
     let opts = SweepOptions {
         run: plan.run,
         checkpoint: Some(args.checkpoint()),
@@ -363,10 +362,10 @@ pub fn drive<R: SweepOutput>(
         }
     };
     let summary = output.summary();
-    let resumed = summary.resumed.saturating_sub(shared);
-    if resumed > 0 && !args.obs.quiet {
+    if summary.resumed > 0 && !args.obs.quiet {
         eprintln!(
-            "{name}: resumed {resumed} of {} cells from {}",
+            "{name}: resumed {} of {} cells from {}",
+            summary.resumed,
             summary.cells.len(),
             args.checkpoint().path.display()
         );

@@ -17,7 +17,8 @@
 //! | `config` | seeded field mutation | `detected` (`validate()` rejection); `visible` (a clean checked run) |
 //! | `sched` | [`FaultSpec`] gate | `detected` (checker abort, deadlock or panic containment); `unchanged` (bit-identical statistics) |
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ce_sim::{machine, FaultKind, FaultSpec, SimConfig, SimError, SimStats, Simulator};
 use ce_workloads::{
@@ -27,78 +28,66 @@ use ce_workloads::{
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::campaign::{Case, Verdict};
+use crate::runner::{contain, pool};
 
 /// Instruction cap for campaign simulations: small enough that ~100
 /// checked runs stay fast, large enough to exercise every pipeline stage.
 const CAMPAIGN_INSTS: u64 = 2_000;
 
-/// Runs `f` on a `ce-cell-*`-named thread so a panic is contained (and,
-/// via the runner's panic hook, kept off stderr) and returned as the
-/// panic message.
-fn contained<T: Send>(f: impl FnOnce() -> T + Send) -> Result<T, String> {
-    crate::runner::install_cell_panic_hook();
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("ce-cell-fault".into())
-            .spawn_scoped(scope, f)
-            .expect("spawning fault-containment thread")
-            .join()
-    })
-    .map_err(|payload| {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panicked with a non-string payload".into())
-    })
+/// One case before it runs: what it is tallied under, its name, and the
+/// check that grades it. Every seeded draw happens while the probes are
+/// built, so grading them in any order gives the same campaign.
+struct Probe {
+    class: &'static str,
+    name: String,
+    grade: Box<dyn Fn() -> (Verdict, String) + Sync>,
 }
 
 /// Runs one simulation with the invariant checker on, containing panics.
 fn checked_run(mut cfg: SimConfig, trace: &Trace) -> Result<SimStats, String> {
     cfg.check = true;
-    Simulator::try_new(cfg).map_err(|e| e.to_string())?;
-    // The simulator itself is built inside the containment thread (it is
-    // not Send); the config is Copy and the trace is shared by reference.
-    match contained(move || Simulator::try_new(cfg).expect("validated above").try_run(trace)) {
-        Ok(Ok(stats)) => Ok(stats),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(panic_msg) => Err(panic_msg),
+    let sim = Simulator::try_new(cfg).map_err(|e| e.to_string())?;
+    match contain(|| sim.try_run(trace)) {
+        Ok(run) => run.map_err(|e| e.to_string()),
+        Err(panic) => Err(panic.message().to_owned()),
     }
 }
 
 /// Class 1: corrupt a serialized trace and prove the parser (or, for
 /// corruptions that still parse, the checked simulator) accounts for it.
-fn trace_corruption_cases(seed: u64, cases: &mut Vec<Case>) {
+fn trace_corruption_cases(seed: u64, probes: &mut Vec<Probe>) {
     let trace = trace_cached(Benchmark::Compress, CAMPAIGN_INSTS)
         .expect("bundled kernel traces");
-    let text = format_trace(&trace);
+    let text: Arc<str> = format_trace(&trace).into();
     let cfg = machine::baseline_8way();
     for kind in TraceCorruption::ALL {
         for s in 0..12u64 {
-            let start = Instant::now();
-            let mutated = corrupt_trace_text(&text, kind, seed ^ (s << 8) ^ kind as u64);
-            let (verdict, detail) = match parse_trace(&mutated) {
-                Err(e) => (Verdict::Detected, format!("parser: {e}")),
-                Ok(parsed) if parsed == *trace => {
-                    (Verdict::Unchanged, "parses to the identical trace".into())
-                }
-                Ok(parsed) => match checked_run(cfg, &parsed) {
-                    Ok(_) => (
-                        Verdict::Visible,
-                        "parses to a different valid trace; checked run is clean".into(),
-                    ),
-                    // The checker catching a parseable-but-inconsistent
-                    // trace downstream still counts as caught…
-                    Err(e) if e.contains("invariant checker") => {
-                        (Verdict::Detected, format!("checker: {e}"))
+            let (trace, text) = (Arc::clone(&trace), Arc::clone(&text));
+            let grade = move || {
+                let mutated = corrupt_trace_text(&text, kind, seed ^ (s << 8) ^ kind as u64);
+                match parse_trace(&mutated) {
+                    Err(e) => (Verdict::Detected, format!("parser: {e}")),
+                    Ok(parsed) if parsed == *trace => {
+                        (Verdict::Unchanged, "parses to the identical trace".into())
                     }
-                    // …but a panic or deadlock means invalid data sailed
-                    // through parse validation: exactly the silent class.
-                    Err(e) => (Verdict::Silent, format!("escaped validation: {e}")),
-                },
+                    Ok(parsed) => match checked_run(cfg, &parsed) {
+                        Ok(_) => (
+                            Verdict::Visible,
+                            "parses to a different valid trace; checked run is clean".into(),
+                        ),
+                        // The checker catching a parseable-but-inconsistent
+                        // trace downstream still counts as caught…
+                        Err(e) if e.contains("invariant checker") => {
+                            (Verdict::Detected, format!("checker: {e}"))
+                        }
+                        // …but a panic or deadlock means invalid data sailed
+                        // through parse validation: exactly the silent class.
+                        Err(e) => (Verdict::Silent, format!("escaped validation: {e}")),
+                    },
+                }
             };
             let name = format!("{kind} seed={s}");
-            cases.push(Case { class: "trace", name, verdict, detail, wall: start.elapsed() });
+            probes.push(Probe { class: "trace", name, grade: Box::new(grade) });
         }
     }
 }
@@ -106,12 +95,11 @@ fn trace_corruption_cases(seed: u64, cases: &mut Vec<Case>) {
 /// Class 2: perturb configuration fields toward their validation
 /// boundaries; every perturbation must be rejected by [`SimConfig::validate`]
 /// or produce a config the checked simulator handles cleanly.
-fn config_perturbation_cases(seed: u64, cases: &mut Vec<Case>) {
+fn config_perturbation_cases(seed: u64, probes: &mut Vec<Probe>) {
     let trace =
         trace_cached(Benchmark::Li, CAMPAIGN_INSTS).expect("bundled kernel traces");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc0f1);
     for i in 0..40 {
-        let start = Instant::now();
         let mut cfg = match rng.gen_range(0..3u32) {
             0 => machine::baseline_8way(),
             1 => machine::dependence_8way(),
@@ -167,24 +155,23 @@ fn config_perturbation_cases(seed: u64, cases: &mut Vec<Case>) {
                 "operand delays"
             }
         };
-        let (verdict, detail) = match cfg.validate() {
+        let trace = Arc::clone(&trace);
+        let grade = move || match cfg.validate() {
             Err(e) => (Verdict::Detected, format!("validate: {e}")),
             Ok(()) => match checked_run(cfg, &trace) {
-                Ok(_) => {
-                    (Verdict::Visible, "valid boundary config; checked run is clean".into())
-                }
+                Ok(_) => (Verdict::Visible, "valid boundary config; checked run is clean".into()),
                 Err(e) => (Verdict::Silent, format!("validation accepted it, then: {e}")),
             },
         };
         let name = format!("{field} case={i}");
-        cases.push(Case { class: "config", name, verdict, detail, wall: start.elapsed() });
+        probes.push(Probe { class: "config", name, grade: Box::new(grade) });
     }
 }
 
 /// Class 3: arm the simulator's own fault gate ([`SimConfig::fault`]) and
 /// prove the invariant checker catches every fault that changes state —
 /// anything it misses must be bit-identical to the clean run.
-fn scheduler_injection_cases(seed: u64, cases: &mut Vec<Case>) {
+fn scheduler_injection_cases(seed: u64, probes: &mut Vec<Probe>) {
     let trace =
         trace_cached(Benchmark::Li, CAMPAIGN_INSTS).expect("bundled kernel traces");
     let cfg = machine::baseline_8way();
@@ -196,55 +183,66 @@ fn scheduler_injection_cases(seed: u64, cases: &mut Vec<Case>) {
             // Cycles spread across (and past) the run, seeded so campaigns
             // with different seeds probe different cycles.
             let at_cycle = if c == 5 { horizon } else { rng.gen_range(0..clean.cycles) };
-            let start = Instant::now();
             let mut faulty = cfg;
             faulty.fault = Some(FaultSpec { kind, at_cycle });
             faulty.check = true;
-            faulty.validate().expect("faulty config still validates");
-            let (verdict, detail) = match contained(|| {
-                Simulator::try_new(faulty).expect("validated above").try_run(&trace)
-            }) {
-                Ok(Ok(stats)) => {
-                    if stats.fingerprint() == clean.fingerprint() {
+            let (trace, clean_fp) = (Arc::clone(&trace), clean.fingerprint());
+            let grade = move || {
+                let sim = Simulator::try_new(faulty).expect("faulty config still validates");
+                match contain(|| sim.try_run(&trace)) {
+                    Ok(Ok(stats)) if stats.fingerprint() == clean_fp => {
                         (Verdict::Unchanged, "statistics bit-identical to clean run".into())
-                    } else {
-                        (
-                            Verdict::Silent,
-                            format!(
-                                "fingerprint diverged undetected: {} vs {}",
-                                stats.fingerprint(),
-                                clean.fingerprint()
-                            ),
-                        )
                     }
-                }
-                Ok(Err(e @ SimError::Checker { .. })) => {
-                    (Verdict::Detected, format!("checker: {e}"))
-                }
-                Ok(Err(e)) => (Verdict::Detected, format!("aborted loudly: {e}")),
-                Err(msg) => {
-                    if kind == FaultKind::PanicCell {
-                        (Verdict::Detected, format!("contained panic: {msg}"))
-                    } else {
-                        (Verdict::Silent, format!("unexpected panic: {msg}"))
+                    Ok(Ok(stats)) => (
+                        Verdict::Silent,
+                        format!(
+                            "fingerprint diverged undetected: {} vs {clean_fp}",
+                            stats.fingerprint()
+                        ),
+                    ),
+                    Ok(Err(e @ SimError::Checker { .. })) => {
+                        (Verdict::Detected, format!("checker: {e}"))
+                    }
+                    Ok(Err(e)) => (Verdict::Detected, format!("aborted loudly: {e}")),
+                    Err(panic) if kind == FaultKind::PanicCell => {
+                        (Verdict::Detected, format!("contained panic: {}", panic.message()))
+                    }
+                    Err(panic) => {
+                        (Verdict::Silent, format!("unexpected panic: {}", panic.message()))
                     }
                 }
             };
             let name = format!("{kind} cycle={at_cycle}");
-            cases.push(Case { class: "sched", name, verdict, detail, wall: start.elapsed() });
+            probes.push(Probe { class: "sched", name, grade: Box::new(grade) });
         }
     }
 }
 
 /// Runs the full campaign (118 cases: 48 trace corruptions, 40 config
 /// perturbations, 30 scheduler injections), deterministically for a given
-/// seed.
+/// seed. The cases are graded on the runner's [`pool`]; a case whose
+/// grading itself panics, outside the contained simulation, is `silent`.
 pub fn run_campaign(seed: u64) -> Vec<Case> {
-    let mut cases = Vec::with_capacity(120);
-    trace_corruption_cases(seed, &mut cases);
-    config_perturbation_cases(seed, &mut cases);
-    scheduler_injection_cases(seed, &mut cases);
-    cases
+    let mut probes = Vec::with_capacity(120);
+    trace_corruption_cases(seed, &mut probes);
+    config_perturbation_cases(seed, &mut probes);
+    scheduler_injection_cases(seed, &mut probes);
+    let order: Vec<usize> = (0..probes.len()).collect();
+    let graded = pool(&order, |i, _| {
+        let start = Instant::now();
+        let (verdict, detail) = (probes[i].grade)();
+        (verdict, detail, start.elapsed())
+    });
+    probes
+        .into_iter()
+        .zip(graded)
+        .map(|(Probe { class, name, .. }, graded)| {
+            let (verdict, detail, wall) = graded.unwrap_or_else(|e| {
+                (Verdict::Silent, format!("escaped containment: {e}"), Duration::ZERO)
+            });
+            Case { class, name, verdict, detail, wall }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use crate::journal::JournalClass;
 use crate::json::Json;
-use crate::manifest::Fnv64;
+use crate::manifest::{verify_artifacts, ArtifactFault};
 
 /// What `fsck` concluded about one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,41 +386,23 @@ fn audit_artifact_dir(
             return Ok(());
         }
     };
-    let listed = doc.at("artifacts").and_then(Json::as_arr).unwrap_or(&[]);
-    let mut bad = Vec::new();
-    let mut verified = Vec::new();
-    for entry in listed {
-        // Manifests record paths as the daemon knew them; resolve by
-        // file name so a relocated state dir still audits.
-        let Some(name) = entry
-            .at("path")
-            .and_then(Json::as_str)
-            .and_then(|p| Path::new(p).file_name())
-        else {
-            bad.push((manifest.clone(), "artifact entry without a path".to_owned()));
-            continue;
-        };
-        let path = dir.join(name);
-        let want_bytes = entry.at("bytes").and_then(Json::as_u64);
-        let want_fnv = entry.at("fnv64").and_then(Json::as_str).unwrap_or("");
-        match std::fs::read(&path) {
-            Ok(content) => {
-                let mut h = Fnv64::default();
-                h.eat(&content);
-                if Some(content.len() as u64) != want_bytes || h.hex() != want_fnv {
-                    bad.push((
-                        path,
-                        format!(
-                            "content does not match manifest ({} bytes, fnv64 {})",
-                            content.len(),
-                            h.hex()
-                        ),
-                    ));
-                } else {
-                    verified.push(path);
-                }
+    let (mut bad, mut verified) = (Vec::new(), Vec::new());
+    for checked in verify_artifacts(&doc, dir) {
+        match checked {
+            Ok(path) => verified.push(path),
+            Err(ArtifactFault::NoPath) => {
+                bad.push((manifest.clone(), "artifact entry without a path".to_owned()));
             }
-            Err(_) => bad.push((path, "listed in manifest but missing".to_owned())),
+            Err(ArtifactFault::Unreadable { path, .. }) => {
+                bad.push((path, "listed in manifest but missing".to_owned()));
+            }
+            Err(ArtifactFault::Mismatch { found, .. }) => bad.push((
+                found.path,
+                format!(
+                    "content does not match manifest ({} bytes, fnv64 {})",
+                    found.bytes, found.fnv64
+                ),
+            )),
         }
     }
     if bad.is_empty() {
@@ -525,7 +507,7 @@ mod tests {
 
         fn kinds(scratch: &Path) -> Vec<Kind> {
             use crate::checkpoint::{CheckpointSpec, Journal};
-            use crate::telemetry::{Event, Telemetry, TelemetryConfig, TelemetrySink as _};
+            use crate::telemetry::{Event, Telemetry, TelemetryConfig};
             let spec = CheckpointSpec { path: scratch.join("k.ckpt.jsonl"), resume: false };
             let (mut journal, _) = Journal::open(&spec, CKPT_ID, 2).unwrap();
             for cell in 0..2 {

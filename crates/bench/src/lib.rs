@@ -50,6 +50,7 @@ pub mod runner;
 pub mod service;
 pub mod store;
 pub mod telemetry;
+pub mod verify;
 
 /// Default per-benchmark dynamic instruction cap. Every kernel completes
 /// below this, so by default the experiments run each program to

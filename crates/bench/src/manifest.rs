@@ -34,6 +34,7 @@ use ce_sim::SimConfig;
 use ce_workloads::{trace_cached, Benchmark, Trace};
 
 use crate::checkpoint::write_atomic;
+use crate::json::Json;
 use crate::runner::{Job, RunOptions, SweepSummary};
 
 /// Schema tag of every manifest document this module writes.
@@ -200,16 +201,6 @@ pub fn cell_key_with(
     Ok(h.hex())
 }
 
-/// The cell key as invoked: [`cell_key_with`] under the ambient
-/// [`code_version`].
-///
-/// # Errors
-///
-/// Trace-generation errors from [`trace_fingerprint`].
-pub fn cell_key(job: &Job, max_insts: u64, run: RunOptions) -> Result<String, String> {
-    cell_key_with(&code_version(), job, max_insts, run)
-}
-
 /// One result file the manifest vouches for.
 #[derive(Debug, Clone)]
 pub struct Artifact {
@@ -234,6 +225,45 @@ impl Artifact {
         h.eat(&content);
         Ok(Artifact { path: path.to_path_buf(), bytes: content.len() as u64, fnv64: h.hex() })
     }
+}
+
+/// Why an artifact a manifest lists failed verification.
+#[derive(Debug)]
+pub enum ArtifactFault {
+    /// The entry names no file.
+    NoPath,
+    /// The file at `path` cannot be read; most often it is missing.
+    Unreadable { path: PathBuf, error: std::io::Error },
+    /// The file as `found` differs in size or digest from the `bytes` and
+    /// `fnv64` the entry records.
+    Mismatch { found: Artifact, bytes: Option<u64>, fnv64: Option<String> },
+}
+
+/// Verifies every artifact `manifest` lists against the file of the same
+/// name in `dir`. Manifests sit next to their artifacts but record paths
+/// as their producer knew them, so resolving by file name keeps a moved
+/// directory verifiable. Returns, in list order, each entry's resolved
+/// path when its size and FNV-64 match, else why not. `fsck` and
+/// `manifest_check` both verify through this.
+pub fn verify_artifacts(manifest: &Json, dir: &Path) -> Vec<Result<PathBuf, ArtifactFault>> {
+    let listed = manifest.at("artifacts").and_then(Json::as_arr).unwrap_or(&[]);
+    let verify = |entry: &Json| {
+        let path = entry.at("path").and_then(Json::as_str);
+        let name = path.and_then(|p| Path::new(p).file_name()).ok_or(ArtifactFault::NoPath)?;
+        let path = dir.join(name);
+        let found = match Artifact::describe(&path) {
+            Ok(found) => found,
+            Err(error) => return Err(ArtifactFault::Unreadable { path, error }),
+        };
+        let bytes = entry.at("bytes").and_then(Json::as_u64);
+        let fnv64 = entry.at("fnv64").and_then(Json::as_str);
+        if bytes == Some(found.bytes) && fnv64 == Some(found.fnv64.as_str()) {
+            Ok(path)
+        } else {
+            Err(ArtifactFault::Mismatch { found, bytes, fnv64: fnv64.map(str::to_owned) })
+        }
+    };
+    listed.iter().map(verify).collect()
 }
 
 /// The conventional manifest path for a result file:

@@ -23,12 +23,15 @@
 //!   [`std::panic::catch_unwind`] on a worker thread named `ce-cell-*`; a
 //!   process-wide panic hook keeps those threads' panics off stderr (the
 //!   failure is *reported*, in the result, not *printed* mid-table).
+//!   [`pool`] is that executor on its own, for every other grid of the
+//!   harness: `diffcheck`, `bench_snapshot`'s trace generation and the
+//!   simulator-fault campaign of [`crate::fault`] run on it too.
 //! - **Deadlines** — [`RunPolicy::cell_timeout`] arms the simulator's
 //!   cycle-loop deadline so a pathological cell returns
 //!   [`Timeout`](RunError::Timeout) instead of hanging a worker.
 //! - **Retry with backoff** — transient failures (only timeouts qualify)
-//!   are retried up to [`RunPolicy::max_attempts`] times with exponential
-//!   backoff; deterministic failures are never retried.
+//!   get up to `MAX_ATTEMPTS` (3) attempts with exponential backoff from
+//!   `BACKOFF_BASE` (50 ms); deterministic failures are never retried.
 //! - **Quarantine** — once a job fails deterministically, later cells with
 //!   the *same* `(benchmark, config)` fail fast with the recorded error
 //!   instead of re-running a known-bad input. A worker that draws a job
@@ -61,7 +64,7 @@ use ce_sim::{
 use ce_workloads::{trace_cached, Benchmark};
 
 use crate::checkpoint::{sweep_id, CheckpointSpec, Journal};
-use crate::telemetry::{Event, Telemetry, TelemetrySink as _};
+use crate::telemetry::{Event, Telemetry};
 
 /// One unit of simulation work: a benchmark kernel on a machine config.
 pub type Job = (Benchmark, SimConfig);
@@ -154,8 +157,8 @@ fn classify_sim_error(e: &SimError) -> RunError {
 
 /// Classifies a caught panic payload. Panics that are really checker or
 /// deadlock reports funneled through `panic!` (the legacy
-/// [`Simulator::run`] path) keep their category; everything else is a
-/// contained simulator bug.
+/// [`Simulator::run`] path, the oracle's deadlock assertion) keep their
+/// category; everything else is a contained simulator bug.
 fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> RunError {
     let msg = payload
         .downcast_ref::<&str>()
@@ -190,27 +193,19 @@ pub struct RunOptions {
     pub sampled: Option<SamplingConfig>,
 }
 
+/// Attempts per cell for *transient* failures. Deterministic failures
+/// always fail on the first attempt.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// The sleep before retry `k` is `BACKOFF_BASE × 2^(k−1)`.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
 /// Failure-handling policy for a sweep.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunPolicy {
     /// Per-cell wall-clock deadline; `None` (the default) lets cells run
     /// to completion.
     pub cell_timeout: Option<Duration>,
-    /// Attempts per cell for *transient* failures (≥ 1). Deterministic
-    /// failures always fail on the first attempt.
-    pub max_attempts: u32,
-    /// Sleep before retry `k` is `backoff_base × 2^(k−1)`.
-    pub backoff_base: Duration,
-}
-
-impl Default for RunPolicy {
-    fn default() -> RunPolicy {
-        RunPolicy {
-            cell_timeout: None,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(50),
-        }
-    }
 }
 
 /// A completed [`Job`] with its wall-clock cost.
@@ -330,9 +325,11 @@ pub struct SweepOptions {
     /// checkpoints.
     pub telemetry: Telemetry,
     /// Cells already known from an external source (the content-addressed
-    /// result store): `prefill[i] = Some(r)` marks cell `i` as done before
-    /// the sweep starts, exactly like a checkpoint-recovered cell (it
-    /// counts toward [`SweepSummary::resumed`] and emits `CellResumed`).
+    /// result store, or an earlier plan of the same process):
+    /// `prefill[i] = Some(r)` marks cell `i` as done before the sweep
+    /// starts. Like a checkpoint-recovered cell it is not simulated and
+    /// emits `CellResumed`; unlike one it does not count toward
+    /// [`SweepSummary::resumed`], which counts journal recovery only.
     /// Empty (the default) prefills nothing; otherwise the length must
     /// equal the job count. Checkpoint recovery wins where both supply a
     /// cell.
@@ -453,7 +450,7 @@ pub fn threads() -> usize {
 /// caught, classified, and *returned*; printing a backtrace mid-sweep
 /// would interleave garbage into experiment tables. All other threads
 /// keep the previous hook's behaviour.
-pub(crate) fn install_cell_panic_hook() {
+fn install_cell_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
@@ -466,6 +463,46 @@ pub(crate) fn install_cell_panic_hook() {
             }
         }));
     });
+}
+
+/// Runs `f`, returning a panic as the error [`classify_panic`] makes of
+/// it. On a [`pool`] worker the panic also stays off stderr.
+pub(crate) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(classify_panic)
+}
+
+/// The harness's one worker pool. Runs `work(i, worker)` once for every
+/// index `i` of `order`, a permutation of `0..order.len()`, on
+/// `threads().min(n)` workers named `ce-cell-*` that take the indices in
+/// the order given. Results come back in index order. Each item runs
+/// under [`contain`]: a panicking item is its own `Err`, off stderr, and
+/// every other item still runs.
+pub fn pool<T: Send>(
+    order: &[usize],
+    work: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<Result<T, RunError>> {
+    install_cell_panic_hook();
+    let n = order.len();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, RunError>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        let (next, slots, work) = (&next, &slots, &work);
+        for w in 0..threads().min(n.max(1)) {
+            std::thread::Builder::new()
+                .name(format!("ce-cell-{w}"))
+                .spawn_scoped(scope, move || {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let result = contain(|| work(i, w));
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
+                })
+                .expect("spawning worker thread");
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("result slot poisoned").expect("order covers 0..n"))
+        .collect()
 }
 
 /// Maps a sampled-run error onto the runner taxonomy: invalid machine
@@ -481,7 +518,7 @@ fn classify_sample_error(e: &SampleError) -> RunError {
 }
 
 /// Runs one cell once: validate, trace, arm the deadline, simulate under
-/// `catch_unwind`. With `sampled` set the cell runs the sampled estimator
+/// [`contain`]. With `sampled` set the cell runs the sampled estimator
 /// instead of a full detailed run (no deadline: the detailed windows are a
 /// bounded fraction of the trace).
 fn run_cell(
@@ -496,30 +533,25 @@ fn run_cell(
         .map_err(|e| RunError::TraceCorrupt(format!("tracing failed: {e}")))?;
     if let Some(sampling) = sampled {
         let start = Instant::now();
-        return match catch_unwind(AssertUnwindSafe(|| try_run_sampled(cfg, &trace, sampling))) {
-            Ok(Ok(s)) => Ok(TimedResult {
-                stats: SimStats {
-                    cycles: s.est_cycles,
-                    committed: s.total_insts,
-                    ..SimStats::default()
-                },
-                sampled: Some(s),
-                wall: start.elapsed(),
-            }),
-            Ok(Err(e)) => Err(classify_sample_error(&e)),
-            Err(payload) => Err(classify_panic(payload)),
-        };
+        let s = contain(|| try_run_sampled(cfg, &trace, sampling))?
+            .map_err(|e| classify_sample_error(&e))?;
+        return Ok(TimedResult {
+            stats: SimStats {
+                cycles: s.est_cycles,
+                committed: s.total_insts,
+                ..SimStats::default()
+            },
+            sampled: Some(s),
+            wall: start.elapsed(),
+        });
     }
     let mut sim = Simulator::new(cfg);
     if let Some(limit) = timeout {
         sim.set_deadline(limit);
     }
     let start = Instant::now();
-    match catch_unwind(AssertUnwindSafe(move || sim.try_run(&trace))) {
-        Ok(Ok(stats)) => Ok(TimedResult { stats, sampled: None, wall: start.elapsed() }),
-        Ok(Err(e)) => Err(classify_sim_error(&e)),
-        Err(payload) => Err(classify_panic(payload)),
-    }
+    let stats = contain(move || sim.try_run(&trace))?.map_err(|e| classify_sim_error(&e))?;
+    Ok(TimedResult { stats, sampled: None, wall: start.elapsed() })
 }
 
 /// [`run_cell`] under the retry policy, narrated to the telemetry sink:
@@ -535,7 +567,6 @@ fn run_cell_with_retry(
     sampled: Option<SamplingConfig>,
     tel: &Telemetry,
 ) -> (Result<TimedResult, RunError>, u32) {
-    let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 1;
     loop {
         if tel.enabled() {
@@ -543,7 +574,7 @@ fn run_cell_with_retry(
         }
         let start = Instant::now();
         let outcome = run_cell(bench, cfg, max_insts, policy.cell_timeout, sampled);
-        let retrying = matches!(&outcome, Err(e) if e.is_transient() && attempt < max_attempts);
+        let retrying = matches!(&outcome, Err(e) if e.is_transient() && attempt < MAX_ATTEMPTS);
         if tel.enabled() {
             tel.emit(Event::AttemptEnd {
                 cell,
@@ -561,7 +592,7 @@ fn run_cell_with_retry(
         if !retrying {
             return (outcome, attempt);
         }
-        let sleep = policy.backoff_base * 2u32.pow(attempt - 1);
+        let sleep = BACKOFF_BASE * 2u32.pow(attempt - 1);
         if tel.enabled() {
             tel.emit(Event::Backoff {
                 cell,
@@ -582,11 +613,11 @@ struct CellOutcome {
     quarantined_after: Option<usize>,
 }
 
-/// The parallel executor behind [`run_sweep_ft`]: fans `jobs`
-/// across named worker threads, skipping cells where `skip[i]` (already
-/// recovered from a checkpoint), quarantining known-bad jobs, and calling
-/// `on_done` (under no locks of its own) as each cell completes so the
-/// caller can journal it. Slots for skipped cells come back `None`.
+/// The sweep executor behind [`run_sweep_ft`]: runs `jobs` on the
+/// [`pool`] longest-first, skipping cells where `skip[i]` (already
+/// recovered), quarantining known-bad jobs, and calling `on_done` (under
+/// no locks of its own) as each cell completes so the caller can journal
+/// it. Slots for skipped cells come back `None`.
 fn execute<F>(
     jobs: &[Job],
     max_insts: u64,
@@ -599,77 +630,55 @@ fn execute<F>(
 where
     F: Fn(usize, &TimedResult) + Sync,
 {
-    install_cell_panic_hook();
-    let n = jobs.len();
-    let workers = threads().min(n.max(1));
-    let order = schedule_order(jobs, max_insts);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // Quarantine by job: its deterministic failure (first failing cell,
     // error), or `None` while an instance is in flight; `settled` wakes
     // the workers waiting on an in-flight duplicate.
     let quarantine: Mutex<HashMap<Job, Option<(usize, RunError)>>> = Mutex::default();
     let settled = Condvar::new();
-
-    std::thread::scope(|scope| {
-        let (next, order, slots, quarantine, settled, on_done) =
-            (&next, &order, &slots, &quarantine, &settled, &on_done);
-        for w in 0..workers {
-            std::thread::Builder::new()
-                .name(format!("ce-cell-{w}"))
-                .spawn_scoped(scope, move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let i = order[k];
-                    if skip[i] {
-                        continue;
-                    }
-                    let (bench, mut cfg) = jobs[i];
-                    cfg.attribution |= run.attribution;
-                    let known_bad = settled
-                        .wait_while(quarantine.lock().expect("quarantine poisoned"), |q| {
-                            matches!(q.get(&jobs[i]), Some(None))
-                        })
-                        .expect("quarantine poisoned")
-                        .entry(jobs[i])
-                        .or_insert(None) // claims the job unless it failed
-                        .clone();
-                    let outcome = if let Some((first, error)) = known_bad {
-                        if tel.enabled() {
-                            tel.emit(Event::Quarantined { cell: i, worker: w, first });
-                        }
-                        CellOutcome {
-                            result: Err(error),
-                            attempts: 0,
-                            quarantined_after: Some(first),
-                        }
-                    } else {
-                        let (result, attempts) = run_cell_with_retry(
-                            i, w, (bench, cfg), max_insts, policy, run.sampled, tel,
-                        );
-                        let mut q = quarantine.lock().expect("quarantine poisoned");
-                        match &result {
-                            Err(e) if !e.is_transient() => q.insert(jobs[i], Some((i, e.clone()))),
-                            _ => q.remove(&jobs[i]),
-                        };
-                        drop(q);
-                        settled.notify_all();
-                        if let Ok(r) = &result {
-                            on_done(i, r);
-                        }
-                        CellOutcome { result, attempts, quarantined_after: None }
-                    };
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                })
-                .expect("spawning worker thread");
+    let outcomes = pool(&schedule_order(jobs, max_insts), |i, w| {
+        if skip[i] {
+            return None;
         }
+        let (bench, mut cfg) = jobs[i];
+        cfg.attribution |= run.attribution;
+        let known_bad = settled
+            .wait_while(quarantine.lock().expect("quarantine poisoned"), |q| {
+                matches!(q.get(&jobs[i]), Some(None))
+            })
+            .expect("quarantine poisoned")
+            .entry(jobs[i])
+            .or_insert(None) // claims the job unless it failed
+            .clone();
+        if let Some((first, error)) = known_bad {
+            if tel.enabled() {
+                tel.emit(Event::Quarantined { cell: i, worker: w, first });
+            }
+            let quarantined_after = Some(first);
+            return Some(CellOutcome { result: Err(error), attempts: 0, quarantined_after });
+        }
+        let (result, attempts) =
+            run_cell_with_retry(i, w, (bench, cfg), max_insts, policy, run.sampled, tel);
+        let mut q = quarantine.lock().expect("quarantine poisoned");
+        match &result {
+            Err(e) if !e.is_transient() => q.insert(jobs[i], Some((i, e.clone()))),
+            _ => q.remove(&jobs[i]),
+        };
+        drop(q);
+        settled.notify_all();
+        if let Ok(r) = &result {
+            on_done(i, r);
+        }
+        Some(CellOutcome { result, attempts, quarantined_after: None })
     });
-
-    slots
+    // A panic outside the contained attempt (in `on_done`, say) fails
+    // its cell like any other error.
+    outcomes
         .into_iter()
-        .map(|slot| slot.into_inner().expect("result slot poisoned"))
+        .map(|outcome| {
+            outcome.unwrap_or_else(|error| {
+                Some(CellOutcome { result: Err(error), attempts: 1, quarantined_after: None })
+            })
+        })
         .collect()
 }
 
@@ -731,6 +740,7 @@ pub fn run_sweep_ft(
         }
         None => (None, vec![None; jobs.len()]),
     };
+    let resumed = recovered.iter().flatten().count();
     if !opts.prefill.is_empty() {
         assert_eq!(
             opts.prefill.len(),
@@ -743,7 +753,6 @@ pub fn run_sweep_ft(
             }
         }
     }
-    let resumed = recovered.iter().filter(|c| c.is_some()).count();
     let skip: Vec<bool> = recovered.iter().map(Option::is_some).collect();
 
     let tel = &opts.telemetry;
@@ -751,7 +760,7 @@ pub fn run_sweep_ft(
         tel.emit(Event::SweepBegin {
             cells: jobs.len(),
             threads: threads().min(jobs.len()),
-            resumed,
+            resumed: skip.iter().filter(|&&s| s).count(),
             max_insts,
         });
         for (i, cell) in recovered.iter().enumerate() {
@@ -789,7 +798,7 @@ pub fn run_sweep_ft(
     let mut cells = recovered;
     let mut failures = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = outcome else { continue }; // resumed from journal
+        let Some(outcome) = outcome else { continue }; // recovered or prefilled
         match outcome.result {
             Ok(result) => cells[i] = Some(result),
             Err(error) => failures.push(CellFailure {
@@ -1022,9 +1031,11 @@ mod tests {
         assert!(err.to_string().starts_with("io: "), "{err}");
     }
 
-    /// Prefilled cells behave like checkpoint-recovered ones: they are
-    /// never re-simulated, they count as resumed, and the `on_cell` hook
-    /// fires only for the cells that actually ran.
+    /// Prefilled cells are skipped like checkpoint-recovered ones: they
+    /// are never re-simulated and the `on_cell` hook fires only for the
+    /// cells that actually ran. With no checkpoint nothing is resumed:
+    /// `resumed` counts journal recovery, not cells supplied from
+    /// elsewhere.
     #[test]
     fn prefill_skips_cells_and_on_cell_sees_only_fresh_ones() {
         use ce_sim::machine;
@@ -1050,13 +1061,39 @@ mod tests {
         )
         .unwrap();
         assert!(summary.all_ok());
-        assert_eq!(summary.resumed, 1);
+        assert_eq!(summary.resumed, 0, "a prefilled cell is not a resumed one");
         assert_eq!(summary.cells[0].as_ref().unwrap().wall, canned.wall);
         assert_eq!(
             summary.cells[1].as_ref().unwrap().stats.fingerprint(),
             full.cells[1].as_ref().unwrap().stats.fingerprint()
         );
         assert_eq!(*fresh.lock().unwrap(), vec![1], "hook must see only the fresh cell");
+    }
+
+    /// The pool contains a panicking item to that item: it comes back as
+    /// an error carrying the panic message, off stderr, while every other
+    /// item completes, and results arrive in index order whatever the
+    /// dispatch order.
+    #[test]
+    fn pool_contains_a_panicking_item_and_keeps_index_order() {
+        let order = [3, 1, 4, 0, 2];
+        let results = pool(&order, |i, _| {
+            assert_ne!(i, 4, "item {i} blew up");
+            i * 10
+        });
+        assert_eq!(results.len(), order.len());
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(value) => assert_eq!(*value, i * 10, "slot {i} holds another item"),
+                Err(e) => {
+                    assert_eq!(i, 4, "only the panicking item fails: {e}");
+                    assert_eq!(e.category(), "cell-panic");
+                    assert!(e.message().contains("item 4 blew up"), "{e}");
+                }
+            }
+        }
+        assert!(results[4].is_err());
+        assert!(pool(&[], |i, _| i).is_empty());
     }
 
     #[test]

@@ -79,7 +79,7 @@ use crate::runner::{
     cell_weights, run_sweep_ft, CellHook, RunPolicy, SweepOptions,
 };
 use crate::store::{Lookup, ResultStore};
-use crate::telemetry::{Event, Telemetry, TelemetryConfig, TelemetrySink as _};
+use crate::telemetry::{Event, Telemetry, TelemetryConfig};
 
 /// Daemon configuration (one value per `cesimd` flag).
 #[derive(Debug, Clone)]
@@ -726,10 +726,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
 
     let opts = SweepOptions {
         run: plan.run,
-        policy: RunPolicy {
-            cell_timeout: job.spec.deadline_ms.map(Duration::from_millis),
-            ..RunPolicy::default()
-        },
+        policy: RunPolicy { cell_timeout: job.spec.deadline_ms.map(Duration::from_millis) },
         // The cell checkpoint journal survives kill -9 and feeds the
         // replayed execution; `resume: true` is unconditional because a
         // fresh job simply has no journal yet.

@@ -60,13 +60,14 @@ pub enum Event {
         cells: usize,
         /// Worker threads about to run.
         threads: usize,
-        /// Cells recovered from the checkpoint journal.
+        /// Cells not simulated: recovered from the checkpoint journal or
+        /// prefilled, one `CellResumed` each.
         resumed: usize,
         /// Per-benchmark instruction cap.
         max_insts: u64,
     },
-    /// A cell was recovered from the checkpoint journal instead of run;
-    /// `wall_us` is its journaled simulation wall time.
+    /// A cell was recovered from the checkpoint journal, or prefilled,
+    /// instead of run; `wall_us` is its recorded simulation wall time.
     CellResumed {
         /// Input-order cell index.
         cell: usize,
@@ -196,18 +197,6 @@ fn decode_event(doc: Json) -> Option<(u64, Json)> {
     known.then_some((t_us, doc))
 }
 
-/// Anything that consumes engine events. [`Telemetry`] is the canonical
-/// implementation (journal + progress + Chrome trace behind one handle);
-/// the trait exists so tests can capture events without touching the
-/// filesystem, mirroring the simulator's `ProbeSink`.
-pub trait TelemetrySink {
-    /// Consume one event. Must never panic and never influence results.
-    fn emit(&self, ev: Event);
-    /// Whether events are observed at all (lets hot paths skip argument
-    /// construction; the default handle answers in one branch).
-    fn enabled(&self) -> bool;
-}
-
 /// How to build a [`Telemetry`] handle. All consumers default off; a
 /// config with nothing enabled produces the zero-cost disabled handle.
 #[derive(Debug, Clone, Default)]
@@ -255,6 +244,20 @@ impl Telemetry {
     /// The disabled handle (same as `Telemetry::default()`).
     pub fn disabled() -> Telemetry {
         Telemetry::default()
+    }
+
+    /// Consumes one event. Never panics and never influences results.
+    pub fn emit(&self, ev: Event) {
+        if let Some(inner) = &self.inner {
+            inner.observe(ev);
+        }
+    }
+
+    /// Whether events are observed at all (lets hot paths skip argument
+    /// construction; the disabled handle answers in one branch).
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.inner.is_some()
     }
 
     /// Builds a handle per `config`. `weights` are the per-cell cost
@@ -311,19 +314,6 @@ impl Telemetry {
                 weights,
             })),
         })
-    }
-}
-
-impl TelemetrySink for Telemetry {
-    fn emit(&self, ev: Event) {
-        if let Some(inner) = &self.inner {
-            inner.observe(ev);
-        }
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.inner.is_some()
     }
 }
 

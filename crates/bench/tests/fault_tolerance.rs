@@ -49,11 +49,7 @@ fn panicking_cell_is_isolated_and_classified() {
 fn deadline_is_enforced_with_bounded_retries() {
     let jobs = [(Benchmark::Compress, machine::baseline_8way())];
     let opts = SweepOptions {
-        policy: RunPolicy {
-            cell_timeout: Some(Duration::from_nanos(1)),
-            max_attempts: 2,
-            backoff_base: Duration::from_millis(1),
-        },
+        policy: RunPolicy { cell_timeout: Some(Duration::from_nanos(1)) },
         ..SweepOptions::default()
     };
     let summary = runner::run_sweep_ft(&jobs, 500_000, &opts).expect("no journal in play");
@@ -61,7 +57,7 @@ fn deadline_is_enforced_with_bounded_retries() {
     let failure = &summary.failures[0];
     assert_eq!(failure.error.category(), "timeout", "{failure}");
     assert!(failure.error.is_transient());
-    assert_eq!(failure.attempts, 2, "{failure}");
+    assert_eq!(failure.attempts, 3, "{failure}");
 }
 
 /// Two identical deterministically-failing jobs: the first burns its

@@ -234,20 +234,16 @@ impl TraceLru {
     }
 }
 
-/// The process-wide trace cache behind [`trace_cached`]. Capacity comes
-/// from `CE_TRACE_CACHE_CAP` (read once, default 32 — comfortably above
-/// any single sweep's distinct `(benchmark, cap)` set, small enough that
-/// a daemon cycling through many caps stays bounded).
+/// Entries of the process-wide trace cache: comfortably above any single
+/// sweep's distinct `(benchmark, cap)` set, small enough that a daemon
+/// cycling through many caps stays bounded.
+const TRACE_CACHE_CAP: usize = 32;
+
+/// The process-wide trace cache behind [`trace_cached`], holding
+/// [`TRACE_CACHE_CAP`] traces.
 fn global_trace_cache() -> &'static TraceLru {
     static CACHE: std::sync::OnceLock<TraceLru> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cap = std::env::var("CE_TRACE_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(32);
-        TraceLru::new(cap)
-    })
+    CACHE.get_or_init(|| TraceLru::new(TRACE_CACHE_CAP))
 }
 
 /// Like [`trace_benchmark`], but memoized process-wide in a bounded LRU
