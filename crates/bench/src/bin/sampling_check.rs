@@ -6,25 +6,26 @@
 //!     [--bench NAME|all] [--max-err F]
 //! ```
 //!
-//! Runs each requested kernel both ways on the baseline machine, as the
-//! runner's own cells ([`ce_bench::verify::sampling_cases`]): one exact
-//! sweep and one sampled sweep with the default
+//! Runs each requested kernel both ways on every Figure 17 organization,
+//! as the runner's own cells ([`ce_bench::verify::sampling_cases`]): one
+//! exact sweep and one sampled sweep with the default
 //! [`SamplingConfig`](ce_sim::SamplingConfig) geometry, the path the
-//! explorer's results take. Each kernel is one
-//! `pass` or `fail` case of a [`campaign`](ce_bench::campaign) report:
-//! `fail` when its estimated cycle count is off by more than `--max-err`
-//! (default 0.02, the 2% bound the sampling error model in DESIGN.md
-//! promises), or when either of its cells failed, with the runner's
-//! error. `CE_MAX_INSTS` applies as everywhere in `ce-bench`.
+//! explorer's results take. Each (organization, kernel) cell is one
+//! `pass` or `fail` case of a [`campaign`](ce_bench::campaign) report,
+//! tallied per kernel: `fail` when its estimated cycle count is off by
+//! more than `--max-err` (default 0.02, the 2% bound the sampling error
+//! model in DESIGN.md promises), or when either of its runs failed, with
+//! the runner's error. `CE_MAX_INSTS` applies as everywhere in `ce-bench`.
 //!
-//! Exit codes: 0 within bounds, 1 any kernel failed, 2 usage error. A
-//! failing kernel prints one line like
+//! Exit codes: 0 within bounds, 1 any cell failed, 2 usage error. A
+//! failing cell prints one line like
 //!
 //! ```text
-//! sampling_check: error[fail]: sampling li: ... err +0.0312 (bound 0.0200)
+//! sampling_check: error[fail]: li 1-cluster.1window: ... err +0.0312 (bound 0.0200)
 //! ```
 
 use ce_bench::campaign::{refuse, Report};
+use ce_bench::runner::Job;
 use ce_bench::verify::sampling_cases;
 use ce_sim::machine;
 use ce_workloads::Benchmark;
@@ -64,9 +65,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let cap = ce_bench::max_insts();
+    let cells: Vec<(String, Job)> = benches
+        .iter()
+        .flat_map(|&b| machine::figure17_machines().map(|(m, cfg)| (m.to_owned(), (b, cfg))))
+        .collect();
     let mut report = Report::new("sampling_check");
-    report.cases = sampling_cases(&benches, machine::baseline_8way(), cap, max_err);
+    report.cases = sampling_cases(&cells, ce_bench::max_insts(), max_err);
     println!("{report}");
     report.exit_code()
 }

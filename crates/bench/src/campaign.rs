@@ -100,7 +100,8 @@ pub struct Case {
     pub name: String,
     /// How it came out.
     pub verdict: Verdict,
-    /// One line of evidence: the reporting error, measurement or divergence.
+    /// The evidence: the reporting error, measurement or divergence. The
+    /// report prints it on one line, folding line breaks into `; `.
     pub detail: String,
     /// Wall time; zero when the case was not timed on its own.
     pub wall: Duration,
@@ -153,14 +154,19 @@ fn tally<'a>(cases: impl Iterator<Item = &'a Case> + Clone) -> String {
     counts.collect::<Vec<_>>().join(", ")
 }
 
+/// A case's detail on one line: each line break folds into `; `.
+fn one_line(case: &Case) -> String {
+    case.detail.lines().map(str::trim).collect::<Vec<_>>().join("; ")
+}
+
 /// The one renderer: case lines, class tallies, violations, summary.
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let class_w = self.cases.iter().map(|c| c.class.len()).max().unwrap_or(0);
         let name_w = self.cases.iter().map(|c| c.name.len()).max().unwrap_or(0);
         for c in &self.cases {
-            let (verdict, class, name) = (c.verdict.name(), c.class, &c.name);
-            let line = format!("{verdict:<11} {class:<class_w$}  {name:<name_w$}  {}", c.detail);
+            let (verdict, class, name, detail) = (c.verdict.name(), c.class, &c.name, one_line(c));
+            let line = format!("{verdict:<11} {class:<class_w$}  {name:<name_w$}  {detail}");
             writeln!(f, "{}", line.trim_end())?;
         }
         let mut classes: Vec<&str> = Vec::new();
@@ -181,7 +187,7 @@ impl fmt::Display for Report {
         }
         for c in self.violations() {
             let (tool, verdict) = (self.tool, c.verdict.name());
-            writeln!(f, "{tool}: error[{verdict}]: {} {}: {}", c.class, c.name, c.detail)?;
+            writeln!(f, "{tool}: error[{verdict}]: {} {}: {}", c.class, c.name, one_line(c))?;
         }
         let counts = tally(self.cases.iter());
         write!(
@@ -255,5 +261,24 @@ mod tests {
         assert!(report.to_string().ends_with("gate: 2 case(s): 1 pass, 1 detected, 0 violation(s)"));
         assert_eq!(report.exit_code(), ExitCode::SUCCESS);
         assert_eq!(Report::new("gate").to_string(), "gate: 0 case(s): 0 violation(s)");
+    }
+
+    /// A multi-line detail, such as an invariant checker's violation
+    /// list, folds into one line on both its case and its error line.
+    #[test]
+    fn a_multi_line_detail_renders_on_one_line() {
+        let mut report = Report::new("gate");
+        let detail = "invariant checker: 2 violation(s)\n  cycle 31 seq 57: skipped";
+        report.cases = vec![case("sched", "early-select", Verdict::Fail, detail)];
+        let text = report.to_string();
+        let folded = "invariant checker: 2 violation(s); cycle 31 seq 57: skipped";
+        assert_eq!(
+            text.lines().take(3).collect::<Vec<_>>(),
+            [
+                format!("fail        sched  early-select  {folded}"),
+                "gate: sched: 1 case(s): 1 fail (0.01 s)".to_owned(),
+                format!("gate: error[fail]: sched early-select: {folded}"),
+            ]
+        );
     }
 }

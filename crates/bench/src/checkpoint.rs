@@ -74,13 +74,15 @@ impl CheckpointSpec {
     }
 }
 
-/// Identity of a sweep: an FNV-1a hash over every job's debug form, the
-/// instruction cap, and the run options. Two invocations with the same
-/// grid get the same id; any change to the grid, cap, or options changes
-/// it and invalidates old journals.
+/// Identity of a sweep: an FNV-1a hash over the
+/// [code version](crate::manifest::code_version), every job's debug form,
+/// the instruction cap, and the run options. Two invocations of one build
+/// with the same grid get the same id; any change to the build, grid, cap
+/// or options changes it and invalidates old journals.
 pub fn sweep_id(jobs: &[Job], max_insts: u64, opts: RunOptions) -> u64 {
     let mut h = crate::manifest::Fnv64::default();
-    h.eat(format!("max_insts={max_insts} opts={opts:?}").as_bytes());
+    let code = crate::manifest::code_version();
+    h.eat(format!("code={code} max_insts={max_insts} opts={opts:?}").as_bytes());
     for job in jobs {
         h.eat(format!("{job:?}").as_bytes());
     }

@@ -1,12 +1,13 @@
 //! A minimal JSON reader for the repo's own artifacts.
 //!
-//! The repo takes no external dependencies, yet two tools need to *read*
-//! JSON the simulator wrote: `metrics_check` (validates a
-//! `ce-sim.metrics.v1` document against the checked-in schema) and
-//! `bench_compare` (compares two `BENCH_sim.json` snapshots). This is a
-//! small recursive-descent parser covering exactly the JSON those
-//! documents use — objects, arrays, strings with the common escapes,
-//! numbers, booleans, null — with dotted-path lookup ([`Json::at`]).
+//! The repo takes no external dependencies, yet the harness needs to
+//! *read* the JSON it and the simulator write: `metrics_check` validates a
+//! `ce-sim.metrics.v1` document against the checked-in schema, and the
+//! journals, manifests and result-store entries are read back through
+//! this. It is a small recursive-descent parser covering exactly the JSON
+//! those documents use — objects, arrays, strings with the common
+//! escapes, numbers, booleans, null — with dotted-path lookup
+//! ([`Json::at`]).
 //!
 //! It is a reader for trusted, self-produced files, not a general-purpose
 //! parser: surrogate-pair `\u` escapes are not combined. Non-negative

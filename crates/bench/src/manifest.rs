@@ -34,7 +34,7 @@ use ce_sim::SimConfig;
 use ce_workloads::{trace_cached, Benchmark, Trace};
 
 use crate::checkpoint::write_atomic;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::runner::{Job, RunOptions, SweepSummary};
 
 /// Schema tag of every manifest document this module writes.
@@ -329,7 +329,7 @@ pub fn manifest_json(
         .map(|a| {
             format!(
                 "    {{\"path\": \"{}\", \"bytes\": {}, \"fnv64\": \"{}\"}}",
-                a.path.display(),
+                json::escape(&a.path.display().to_string()),
                 a.bytes,
                 a.fnv64
             )
@@ -340,8 +340,8 @@ pub fn manifest_json(
     Ok(format!(
         "{{\n\
          \x20 \"schema\": \"{MANIFEST_SCHEMA}\",\n\
-         \x20 \"tool\": \"{tool}\",\n\
-         \x20 \"code_version\": \"{code}\",\n\
+         \x20 \"tool\": \"{}\",\n\
+         \x20 \"code_version\": \"{}\",\n\
          \x20 \"max_insts\": {max_insts},\n\
          \x20 \"run_options\": \"{run:?}\",\n\
          \x20 \"cache_key\": \"{key}\",\n\
@@ -355,6 +355,8 @@ pub fn manifest_json(
          \x20 \"configs\": [\n{config_rows}\n  ],\n\
          \x20 \"artifacts\": [\n{artifact_rows}\n  ]\n\
          }}\n",
+        json::escape(tool),
+        json::escape(&code),
         summary.cells.len(),
         summary.threads,
         summary.resumed,
@@ -509,6 +511,31 @@ mod tests {
         let a = Artifact::describe(&path).unwrap();
         assert_eq!(a.bytes, 8);
         assert_eq!(a.fnv64, fnv_hex("a,b\n1,2\n"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Caller-supplied strings are escaped: a manifest whose tool and
+    /// artifact name hold a quote, a backslash and a newline parses, reads
+    /// both back verbatim, and its artifact verifies.
+    #[test]
+    fn quoted_tool_and_artifact_names_round_trip() {
+        let dir = std::env::temp_dir().join(format!("ce-manifest-quoted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("my \"run\" \\\n.csv");
+        std::fs::write(&path, "a,b\n1,2\n").unwrap();
+        let artifacts = [Artifact::describe(&path).unwrap()];
+        let tool = "cesimd:my \"run\" \\\nnext";
+        let jobs = &jobs()[..1];
+        let summary = crate::runner::run_sweep(jobs, 2_000, RunOptions::default());
+        let text =
+            manifest_json(tool, jobs, 2_000, RunOptions::default(), &summary, &artifacts).unwrap();
+        let doc = Json::parse(&text).expect("manifest parses");
+        assert_eq!(doc.at("tool").and_then(Json::as_str), Some(tool));
+        let listed = doc.at("artifacts").and_then(Json::as_arr).expect("artifacts");
+        let recorded = path.display().to_string();
+        assert_eq!(listed[0].at("path").and_then(Json::as_str), Some(recorded.as_str()));
+        let verified = verify_artifacts(&doc, &dir);
+        assert!(matches!(verified.as_slice(), [Ok(p)] if *p == path), "{verified:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

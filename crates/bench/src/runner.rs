@@ -24,8 +24,8 @@
 //!   process-wide panic hook keeps those threads' panics off stderr (the
 //!   failure is *reported*, in the result, not *printed* mid-table).
 //!   [`pool`] is that executor on its own, for every other grid of the
-//!   harness: `diffcheck`, `bench_snapshot`'s trace generation and the
-//!   simulator-fault campaign of [`crate::fault`] run on it too.
+//!   harness: `diffcheck`'s cells and the simulator-fault campaign of
+//!   [`crate::fault`] run on it too.
 //! - **Deadlines** — [`RunPolicy::cell_timeout`] arms the simulator's
 //!   cycle-loop deadline so a pathological cell returns
 //!   [`Timeout`](RunError::Timeout) instead of hanging a worker.
@@ -47,8 +47,9 @@
 //! [`schedule_order`]): cost-sorted dispatch keeps the expensive
 //! gcc/m88ksim central-window cells off the tail, so the idle tail with
 //! `T` workers is bounded by one short cell instead of one long one. The
-//! dispatch order and thread count are surfaced in [`SweepSummary`] and
-//! recorded in BENCH_sim.json.
+//! dispatch order and thread count are surfaced in [`SweepSummary`]; the
+//! order is a pure function of the jobs and the cap, and run manifests
+//! record the thread count.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -369,8 +370,6 @@ pub struct SweepSummary {
     pub threads: usize,
     /// The longest-cell-first dispatch order actually used: `schedule[k]`
     /// is the input-order index of the `k`-th cell handed to a worker.
-    /// Recorded in BENCH_sim.json so bench gates reproduce across
-    /// machines.
     pub schedule: Vec<usize>,
 }
 
@@ -419,8 +418,7 @@ fn cell_cost((bench, cfg): &Job, max_insts: u64) -> u64 {
 /// expensive gcc/m88ksim central-window cells off the tail of the sweep —
 /// with `T` workers, the worst idle tail is one *short* cell instead of
 /// one long one. Results are still returned in input order; this is purely
-/// the dispatch sequence, and it is recorded in BENCH_sim.json so a bench
-/// gate can be reproduced schedule-and-all on another machine.
+/// the dispatch sequence, a pure function of the jobs and the cap.
 pub fn schedule_order(jobs: &[Job], max_insts: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(cell_cost(&jobs[i], max_insts)));

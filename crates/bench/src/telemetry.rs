@@ -43,7 +43,7 @@ use ce_workloads::Benchmark;
 
 use crate::checkpoint::write_atomic;
 use crate::journal::{Appender, Format};
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// The telemetry journal: tag `ce_telemetry`, one `(t_us, event)` per
 /// record.
@@ -286,7 +286,7 @@ impl Telemetry {
                 // while per-event append faults later are swallowed.
                 let fields = format!(
                     "\"name\": \"{}\", \"cells\": {}, \"max_insts\": {max_insts}",
-                    config.name,
+                    json::escape(&config.name),
                     weights.len(),
                 );
                 Some(Mutex::new(Appender::create(path, &FORMAT.header(&fields), false)?))
@@ -487,7 +487,8 @@ fn chrome_trace_json(name: &str, events: &[(u64, Event)]) -> String {
     let mut out: Vec<String> = Vec::new();
     out.push(format!(
         "{{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-         \"args\": {{\"name\": \"ce-sweep {name}\"}}}}"
+         \"args\": {{\"name\": \"ce-sweep {}\"}}}}",
+        json::escape(name)
     ));
     let mut workers: Vec<usize> = events
         .iter()
@@ -1024,6 +1025,46 @@ mod tests {
         assert!(events.iter().any(|e| {
             e.at("name").and_then(Json::as_str) == Some("backoff cell 1")
         }));
+    }
+
+    /// A name with a quote, a backslash and a newline, as a daemon
+    /// client's tag can carry.
+    const QUOTED: &str = "job-1:my \"run\" \\\nnext";
+
+    /// The journal header escapes the sweep's name: the journal stays
+    /// valid and its health report reads the name back verbatim.
+    #[test]
+    fn a_quoted_name_round_trips_through_the_journal() {
+        let dir = std::env::temp_dir().join(format!("ce-tel-quoted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.tel.jsonl");
+        let config = TelemetryConfig {
+            name: QUOTED.into(),
+            journal: Some(path.clone()),
+            chrome_out: None,
+            progress: false,
+        };
+        let tel = Telemetry::create(&config, vec![1], 500).unwrap();
+        tel.emit(Event::SweepEnd { ok: 1, failed: 0, wall_us: 1 });
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(FORMAT.classify(&bytes), crate::journal::JournalClass::Valid);
+        let report = HealthReport::from_journal(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert_eq!(report.name, QUOTED);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The Chrome trace escapes the process name it is given.
+    #[test]
+    fn chrome_trace_escapes_the_process_name() {
+        let json = chrome_trace_json(QUOTED, &sample_events());
+        let doc = Json::parse(&json).expect("chrome trace parses");
+        let events = doc.at("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+        let process = events
+            .iter()
+            .find(|e| e.at("name").and_then(Json::as_str) == Some("process_name"))
+            .expect("a process_name record");
+        let want = format!("ce-sweep {QUOTED}");
+        assert_eq!(process.at("args.name").and_then(Json::as_str), Some(want.as_str()));
     }
 
     /// A disabled handle is inert: no allocation behind it, `enabled`

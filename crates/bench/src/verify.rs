@@ -7,8 +7,8 @@
 
 use std::time::{Duration, Instant};
 
-use ce_sim::{OracleSimulator, SamplingConfig, SimConfig, Simulator};
-use ce_workloads::{trace_cached, Benchmark};
+use ce_sim::{OracleSimulator, SamplingConfig, Simulator};
+use ce_workloads::trace_cached;
 
 use crate::campaign::{Case, Verdict};
 use crate::runner::{
@@ -65,13 +65,13 @@ fn against_oracle((bench, cfg): Job, cap: u64) -> (Verdict, String) {
 }
 
 /// Grades sampled simulation against exact on the runner's own cells:
-/// `cfg` on each of `benches`, swept once exact and once under the
-/// default [`SamplingConfig`], the [`TimedResult`] path the explorer
-/// consumes. A kernel fails when its estimated cycles are off by more
-/// than `max_err`, or when either of its cells failed, carrying the
-/// runner's error.
-pub fn sampling_cases(benches: &[Benchmark], cfg: SimConfig, cap: u64, max_err: f64) -> Vec<Case> {
-    let jobs: Vec<Job> = benches.iter().map(|&bench| (bench, cfg)).collect();
+/// every `(organization label, job)` cell swept once exact and once under
+/// the default [`SamplingConfig`], the [`TimedResult`] path the explorer
+/// consumes. A cell fails when its estimated cycles are off by more than
+/// `max_err`, or when either of its runs failed, carrying the runner's
+/// error. Cases come back in input order, tallied per kernel.
+pub fn sampling_cases(cells: &[(String, Job)], cap: u64, max_err: f64) -> Vec<Case> {
+    let jobs: Vec<Job> = cells.iter().map(|(_, job)| *job).collect();
     let sweep = |run| {
         run_sweep_ft(&jobs, cap, &SweepOptions { run, ..SweepOptions::default() })
             .expect("no checkpoint, no I/O to fail")
@@ -79,10 +79,10 @@ pub fn sampling_cases(benches: &[Benchmark], cfg: SimConfig, cap: u64, max_err: 
     let exact = sweep(RunOptions::default());
     let sampled =
         sweep(RunOptions { sampled: Some(SamplingConfig::default()), ..RunOptions::default() });
-    benches
+    cells
         .iter()
         .enumerate()
-        .map(|(i, bench)| {
+        .map(|(i, (machine, (bench, _)))| {
             let (verdict, detail, wall) = match (cell(&exact, i), cell(&sampled, i)) {
                 (Ok(full), Ok(est)) => {
                     let (verdict, detail) = against_exact(full, est, max_err);
@@ -91,12 +91,12 @@ pub fn sampling_cases(benches: &[Benchmark], cfg: SimConfig, cap: u64, max_err: 
                 (Err(e), _) => (Verdict::Fail, format!("exact: {e}"), Duration::ZERO),
                 (_, Err(e)) => (Verdict::Fail, format!("sampled: {e}"), Duration::ZERO),
             };
-            Case { class: "sampling", name: bench.name().to_owned(), verdict, detail, wall }
+            Case { class: bench.name(), name: machine.clone(), verdict, detail, wall }
         })
         .collect()
 }
 
-/// One kernel's sampled cell against its exact cell.
+/// One sampled cell against its exact cell.
 fn against_exact(full: &TimedResult, est: &TimedResult, max_err: f64) -> (Verdict, String) {
     let s = est.sampled.as_ref().expect("a sampled cell carries its measurement");
     let err = s.cycle_error_vs(full.stats.cycles);
@@ -128,6 +128,7 @@ fn cell(summary: &SweepSummary, i: usize) -> Result<&TimedResult, &RunError> {
 mod tests {
     use super::*;
     use ce_sim::{machine, FaultKind, FaultSpec};
+    use ce_workloads::Benchmark;
 
     /// A cell whose invariant checker fires is a `fail` case naming the
     /// checker, and the cells beside it are still graded.
@@ -147,13 +148,14 @@ mod tests {
         assert!(cases[1].detail.contains("invariant checker"), "{}", cases[1].detail);
     }
 
-    /// A panicking cell fails its kernel with the runner's `cell-panic`
+    /// A panicking cell fails its case with the runner's `cell-panic`
     /// error instead of taking the gate down.
     #[test]
     fn a_panicking_cell_fails_its_sampling_case() {
         let mut faulty = machine::baseline_8way();
         faulty.fault = Some(FaultSpec { kind: FaultKind::PanicCell, at_cycle: 50 });
-        let cases = sampling_cases(&[Benchmark::Compress], faulty, 20_000, 0.02);
+        let cells = [("panic-cell".to_owned(), (Benchmark::Compress, faulty))];
+        let cases = sampling_cases(&cells, 20_000, 0.02);
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].verdict, Verdict::Fail, "{cases:?}");
         assert!(cases[0].detail.starts_with("exact: cell-panic"), "{}", cases[0].detail);

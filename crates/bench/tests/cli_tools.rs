@@ -1,16 +1,12 @@
-//! Exit-code contracts of the CI gate tools (`bench_compare`,
-//! `metrics_check`, and the verification gates `diffcheck`,
-//! `sampling_check`, `delaycheck` and `cechaos`) and of the sweep front
-//! ends (`make_report`, and the flags every sweep binary shares): 0 pass,
-//! 1 gate failure, 2 missing/malformed input or a usage error — so a
-//! workflow can distinguish "the gate tripped" from "the gate never ran".
+//! Exit-code contracts of the CI gate tools (`metrics_check`, and the
+//! verification gates `diffcheck`, `sampling_check`, `delaycheck` and
+//! `cechaos`) and of the sweep front ends (`make_report`, and the flags
+//! every sweep binary shares): 0 pass, 1 gate failure, 2
+//! missing/malformed input or a usage error — so a workflow can
+//! distinguish "the gate tripped" from "the gate never ran".
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
-
-fn bench_compare() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_bench_compare"))
-}
 
 fn metrics_check() -> Command {
     Command::new(env!("CARGO_BIN_EXE_metrics_check"))
@@ -24,52 +20,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ce-cli-tools-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
-}
-
-fn snapshot(dir: &Path, name: &str, mcps: f64) -> PathBuf {
-    let path = dir.join(name);
-    std::fs::write(&path, format!("{{\"sim_mcycles_per_s\": {mcps}}}")).expect("write");
-    path
-}
-
-#[test]
-fn bench_compare_distinguishes_gate_trips_from_broken_inputs() {
-    let dir = temp_dir("compare");
-    let fast = snapshot(&dir, "fast.json", 10.0);
-    let slow = snapshot(&dir, "slow.json", 1.0);
-
-    // Healthy candidate: pass.
-    let out = bench_compare().args([&fast, &fast]).output().expect("runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-
-    // Regressed candidate: the gate trips with exit 1.
-    let out = bench_compare().args([&slow, &fast]).output().expect("runs");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regressed"));
-
-    // Missing file: exit 2, with the path in the message.
-    let out = bench_compare()
-        .arg(dir.join("absent.json"))
-        .arg(&fast)
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("absent.json"));
-
-    // Malformed JSON: exit 2.
-    let garbled = dir.join("garbled.json");
-    std::fs::write(&garbled, "{not json").expect("write");
-    let out = bench_compare().args([&garbled, &fast]).output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("parsing"));
-
-    // Usage errors: exit 2.
-    let out = bench_compare().output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = bench_compare().args(["a", "b", "--min-ratio", "x"]).output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -144,12 +94,15 @@ fn verification_gates_share_one_exit_rule() {
         assert_eq!(code, Some(2), "{bin} {args:?}:\n{text}");
     }
 
-    // A bound no estimate can meet: exactly one kernel fails, with one
-    // error line, and the gate trips with 1.
+    // A bound no estimate can meet: each Figure 17 organization fails on
+    // the one kernel, with one error line each, and the gate trips with 1.
     let (code, text) = gate(sampling, &["--max-err", "0"]);
     assert_eq!(code, Some(1), "{text}");
-    assert_eq!(text.lines().filter(|l| l.contains("error[")).count(), 1, "{text}");
-    assert!(text.contains("sampling_check: error[fail]: sampling compress:"), "{text}");
+    assert_eq!(text.lines().filter(|l| l.contains("error[")).count(), 5, "{text}");
+    for (machine, _) in ce_sim::machine::figure17_machines() {
+        let line = format!("sampling_check: error[fail]: compress {machine}: ");
+        assert!(text.contains(&line), "{text}");
+    }
 
     let (code, text) = gate(sampling, &["--max-err", "1"]);
     assert_eq!(code, Some(0), "{text}");

@@ -5,11 +5,13 @@
 //! re-executing only the unfinished cells.
 
 use ce_bench::checkpoint::CheckpointSpec;
+use ce_bench::json::Json;
 use ce_bench::runner::{self, RunPolicy, SweepOptions};
 use ce_sim::{machine, FaultKind, FaultSpec};
 use ce_workloads::Benchmark;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const INSTS: u64 = 2_000;
 
@@ -115,6 +117,44 @@ fn journal_resume_replays_finished_cells() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `fig13_ipc --out OUT` at the 20k cap on one thread, output discarded,
+/// under the code version `code`.
+fn fig13(out: &Path, code: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig13_ipc"));
+    cmd.env("CE_MAX_INSTS", "20000")
+        .env("CE_THREADS", "1")
+        .env("CE_CODE_VERSION", code)
+        .arg("--out")
+        .arg(out)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+    cmd
+}
+
+/// Starts `sweep`, SIGKILLs it as soon as its checkpoint journal `ckpt`
+/// holds one record, before its CSV lands, and returns the journal as the
+/// kill left it.
+fn kill_after_first_cell(sweep: &mut Command, ckpt: &Path) -> String {
+    let mut child = sweep.spawn().expect("sweep spawns");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let cells_done = std::fs::read_to_string(ckpt)
+            .map(|s| s.lines().count().saturating_sub(1))
+            .unwrap_or(0);
+        if cells_done >= 1 {
+            break;
+        }
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            panic!("sweep finished before it could be killed ({status}); cap too small");
+        }
+        assert!(Instant::now() < deadline, "no checkpoint record after 120s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reap");
+    std::fs::read_to_string(ckpt).expect("journal survives the kill")
+}
+
 /// The headline guarantee, end to end on a real sweep binary: SIGKILL
 /// the process mid-sweep, re-run with `--resume`, and the final CSV is
 /// byte-identical to an uninterrupted run's.
@@ -124,47 +164,17 @@ fn sigkill_then_resume_reproduces_the_csv_byte_for_byte() {
     let reference_csv = dir.join("reference.csv");
     let killed_csv = dir.join("killed.csv");
 
-    let fig13 = |out: &Path| {
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_fig13_ipc"));
-        cmd.env("CE_MAX_INSTS", "20000")
-            .env("CE_THREADS", "1")
-            .arg("--out")
-            .arg(out)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-        cmd
-    };
-
     // Uninterrupted reference run.
-    let status = fig13(&reference_csv).status().expect("fig13 runs");
+    let status = fig13(&reference_csv, "kill").status().expect("fig13 runs");
     assert!(status.success());
     let reference = std::fs::read(&reference_csv).expect("reference CSV");
 
-    // Interrupted run: SIGKILL as soon as the journal holds one record
-    // but before the CSV lands.
+    // Interrupted run, then a resume that finishes the sweep, replaying
+    // what the journal holds.
     let ckpt = dir.join("killed.ckpt.jsonl");
-    let mut child = fig13(&killed_csv).spawn().expect("fig13 spawns");
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    loop {
-        let cells_done = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
-            .unwrap_or(0);
-        if cells_done >= 1 {
-            break;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("sweep finished before it could be killed ({status}); cap too small");
-        }
-        assert!(std::time::Instant::now() < deadline, "no checkpoint record after 120s");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reap");
+    let journal_before = kill_after_first_cell(&mut fig13(&killed_csv, "kill"), &ckpt);
     assert!(!killed_csv.exists(), "CSV must not exist after a killed sweep");
-    let journal_before = std::fs::read_to_string(&ckpt).expect("journal survives the kill");
-
-    // Resume: finishes the sweep, replaying what the journal holds.
-    let status = fig13(&killed_csv).arg("--resume").status().expect("fig13 resumes");
+    let status = fig13(&killed_csv, "kill").arg("--resume").status().expect("fig13 resumes");
     assert!(status.success());
     let resumed = std::fs::read(&killed_csv).expect("resumed CSV");
     assert_eq!(
@@ -178,6 +188,31 @@ fn sigkill_then_resume_reproduces_the_csv_byte_for_byte() {
         journal_before.lines().count() >= 2,
         "kill happened before any record was journaled"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal resumes only under the build that wrote it: the code version
+/// is part of the sweep's identity, so `--resume` under another version
+/// re-runs every cell and the manifest records `"resumed": 0`, while a
+/// resume under the same version still replays the journal.
+#[test]
+fn resume_under_another_code_version_replays_nothing() {
+    let dir = temp_dir("codever");
+    let csv = dir.join("fig13.csv");
+    let ckpt = dir.join("fig13.ckpt.jsonl");
+    let resume = |code: &str| {
+        let status = fig13(&csv, code).arg("--resume").status().expect("fig13 resumes");
+        assert!(status.success());
+        let text = std::fs::read_to_string(dir.join("fig13.manifest.json")).expect("manifest");
+        Json::parse(&text).expect("manifest parses").at("resumed").and_then(Json::as_u64)
+    };
+
+    kill_after_first_cell(&mut fig13(&csv, "build-a"), &ckpt);
+    assert_eq!(resume("build-b"), Some(0), "another build's cells resumed");
+    kill_after_first_cell(&mut fig13(&csv, "build-a"), &ckpt);
+    let resumed = resume("build-a");
+    assert!(resumed >= Some(1), "the same build resumed {resumed:?} cells");
 
     std::fs::remove_dir_all(&dir).ok();
 }

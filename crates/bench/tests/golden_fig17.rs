@@ -14,14 +14,24 @@
 //! whichever causes are charged, so only this file catches a scan change
 //! that shifts slots from one cause to another.
 //!
+//! `results/BENCH_sim.json` pins every cell's cycles at the default cap,
+//! kernels run to completion, in the order the benchmark's fig17 gate
+//! reads them (benchmark-major, `figure17_machines()` order). That test
+//! runs the whole default-cap sweep, so it is ignored by a plain `cargo
+//! test`; CI runs it in release with `--ignored`.
+//!
 //! To re-bless after an *intentional* behaviour change:
 //!
 //! ```text
 //! CE_BLESS=1 cargo test -p ce-bench --test golden_fig17
+//! CE_BLESS=1 cargo test --release -p ce-bench --test golden_fig17 -- --ignored
 //! ```
 
 use std::fmt::Write as _;
 
+use ce_bench::api::{plan, SweepKind};
+use ce_bench::runner::run_sweep;
+use ce_bench::DEFAULT_MAX_INSTS;
 use ce_sim::machine::figure17_machines;
 use ce_sim::{SimStats, Simulator};
 use ce_workloads::{trace_cached, Benchmark};
@@ -30,6 +40,7 @@ const CAP: u64 = 50_000;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fig17.tsv");
 const GOLDEN_STALLS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fig17_stalls.tsv");
+const CYCLE_PIN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_sim.json");
 
 /// One line per fig17 cell: `org`, `benchmark`, then `row(stats)` of a
 /// run with attribution set to `attribution`.
@@ -92,4 +103,29 @@ fn fig17_stall_breakdowns_match_golden_capture() {
         format!("issued={} {}", stats.issued, causes.join(" "))
     });
     assert_matches_golden(GOLDEN_STALLS, &current);
+}
+
+#[test]
+#[ignore = "runs the default-cap Figure 17 sweep; run in release with --ignored"]
+fn fig17_default_cap_cycles_match_the_pin() {
+    let plan = plan(SweepKind::Fig17);
+    let summary = run_sweep(&plan.jobs, DEFAULT_MAX_INSTS, plan.run);
+    let machines = figure17_machines();
+    let names = Benchmark::all().into_iter().flat_map(|b| machines.map(|(m, _)| (b.name(), m)));
+    let cells: Vec<String> = names
+        .zip(&summary.cells)
+        .map(|((bench, machine), cell)| {
+            let cycles = cell.as_ref().expect("every fig17 cell simulates").stats.cycles;
+            format!(
+                "    {{\"benchmark\": \"{bench}\", \"machine\": \"{machine}\", \
+                 \"cycles\": {cycles}}}"
+            )
+        })
+        .collect();
+    let current = format!(
+        "{{\n  \"schema\": \"ce-bench.BENCH_sim.v4\",\n  \"max_insts\": {DEFAULT_MAX_INSTS},\n  \
+         \"cells\": [\n{}\n  ]\n}}\n",
+        cells.join(",\n")
+    );
+    assert_matches_golden(CYCLE_PIN, &current);
 }

@@ -1,8 +1,9 @@
 //! End-to-end tests for the `cesimd` experiment service: byte-identity
 //! with the CLI binaries, content-addressed cache service on resubmit,
 //! incremental re-sweep after a config change, `kill -9` crash recovery
-//! with no duplicate cell execution, and `error[overloaded]`
-//! backpressure.
+//! with no duplicate cell execution, a restart on a rebuilt binary that
+//! replays nothing the old build computed, a quoted job tag that leaves
+//! the state directory clean, and `error[overloaded]` backpressure.
 //!
 //! All daemon interaction goes through the real binaries
 //! (`CARGO_BIN_EXE_*`), so these tests exercise the protocol, the WAL,
@@ -11,10 +12,11 @@
 
 mod common;
 
-use std::path::Path;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use ce_bench::telemetry::HealthReport;
 use common::{ctl, daemon, exec_profile, shutdown, temp_dir, wait_ready, INSTS};
 
 fn read_csv(path: &Path) -> Vec<u8> {
@@ -112,13 +114,13 @@ fn service_csv_matches_cli_and_resubmit_is_cache_served() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The crash-recovery contract: `kill -9` the daemon mid-job, restart it
-/// on the same state directory, and the job completes headless with a
-/// CSV byte-identical to the standalone binary's — and the two
-/// executions' telemetry journals prove no cell was simulated twice.
-#[test]
-fn kill_nine_mid_job_resumes_without_duplicate_execution() {
-    let dir = temp_dir("kill9");
+/// The crash half of the recovery tests: a daemon run as code version
+/// `before` is SIGKILLed once a fig17 job's checkpoint journal holds a
+/// settled cell, and a daemon run as `after` restarts on the same state
+/// directory and finishes the job headless, with a CSV byte-identical to
+/// the standalone binary's. Returns the state directory and the restarted
+/// daemon, still serving on `dir/d.sock`.
+fn crash_fig17_job_and_restart(dir: &Path, before: &str, after: &str) -> (PathBuf, Child) {
     let state = dir.join("state");
     let socket = dir.join("d.sock");
 
@@ -136,7 +138,8 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
     assert!(status.success());
     let reference = read_csv(&ref_csv);
 
-    let mut d = daemon(&state, &socket).spawn().expect("cesimd spawns");
+    let mut d =
+        daemon(&state, &socket).env("CE_CODE_VERSION", before).spawn().expect("cesimd spawns");
     wait_ready(&socket, &mut d);
 
     // Submit without waiting: the client streams events until the daemon
@@ -174,7 +177,8 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
     let _ = client.wait();
 
     // Restart on the same state: the WAL re-enqueues job 1 headless.
-    let mut d = daemon(&state, &socket).spawn().expect("cesimd restarts");
+    let mut d =
+        daemon(&state, &socket).env("CE_CODE_VERSION", after).spawn().expect("cesimd restarts");
     wait_ready(&socket, &mut d);
     let manifest = state.join("artifacts/job-1/manifest.json");
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -190,6 +194,17 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
         reference,
         "resumed job's CSV differs from an uninterrupted run"
     );
+    (state, d)
+}
+
+/// The crash-recovery contract: `kill -9` the daemon mid-job, restart it
+/// on the same state directory, and the job completes headless with a
+/// CSV byte-identical to the standalone binary's — and the two
+/// executions' telemetry journals prove no cell was simulated twice.
+#[test]
+fn kill_nine_mid_job_resumes_without_duplicate_execution() {
+    let dir = temp_dir("kill9");
+    let (state, mut d) = crash_fig17_job_and_restart(&dir, "build-a", "build-a");
 
     // No duplicate execution: the cells each execution settled by
     // simulation are disjoint, and together they cover the whole grid
@@ -216,7 +231,66 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
         first.len()
     );
 
+    shutdown(&dir.join("d.sock"), &mut d);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon restarted on a rebuilt binary serves nothing the old build
+/// computed: the job's checkpoint journal belongs to another code
+/// version, so the replayed execution resumes no cell, the store serves
+/// none, and every one of the 35 cells is simulated again.
+#[test]
+fn a_restart_on_another_build_resumes_nothing() {
+    let dir = temp_dir("rebuild");
+    let (state, mut d) = crash_fig17_job_and_restart(&dir, "build-a", "build-b");
+
+    let journal = state.join("telemetry/job-1.exec-1.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("replayed execution's journal");
+    let health = HealthReport::from_journal(&text).expect("journal parses");
+    assert_eq!(health.resumed, 0, "another build's cells resumed");
+    let (written, hits) = exec_profile(&journal);
+    assert_eq!(written.len(), 35, "every cell simulates again: {written:?}");
+    assert_eq!(hits, 0, "the store served another build's cells");
+
+    shutdown(&dir.join("d.sock"), &mut d);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client's tag reaches the daemon's telemetry header and the job's
+/// manifest escaped: after a submission tagged with a quote, a backslash
+/// and a newline, `cesimd --fsck` finds nothing to quarantine and
+/// `sweephealth` reads the job's journal back under that name.
+#[test]
+fn a_quoted_tag_leaves_a_clean_state_dir() {
+    let dir = temp_dir("tag");
+    let state = dir.join("state");
+    let socket = dir.join("d.sock");
+    let tag = "my \"run\" \\\nnext";
+    let mut d = daemon(&state, &socket).spawn().expect("cesimd spawns");
+    wait_ready(&socket, &mut d);
+    let out = ctl(&socket)
+        .args(["submit", "fig13", "--quiet", "--tag", tag])
+        .output()
+        .expect("cesimctl runs");
+    assert!(out.status.success(), "submit failed: {}", String::from_utf8_lossy(&out.stderr));
     shutdown(&socket, &mut d);
+
+    let fsck = Command::new(env!("CARGO_BIN_EXE_cesimd"))
+        .arg("--fsck")
+        .arg("--state")
+        .arg(&state)
+        .output()
+        .expect("cesimd --fsck runs");
+    let stdout = String::from_utf8_lossy(&fsck.stdout);
+    assert!(fsck.status.success(), "fsck found damage:\n{stdout}");
+    let health = Command::new(env!("CARGO_BIN_EXE_sweephealth"))
+        .arg(state.join("telemetry/job-1.exec-0.jsonl"))
+        .output()
+        .expect("sweephealth runs");
+    let stdout = String::from_utf8_lossy(&health.stdout);
+    assert!(health.status.success(), "sweephealth:\n{stdout}");
+    assert!(stdout.contains(&format!("sweep job-1:{tag}: 14/14 cells")), "{stdout}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
