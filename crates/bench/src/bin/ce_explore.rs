@@ -22,8 +22,7 @@
 //!
 //! ```text
 //! usage: [--out PATH] [--resume] [--full] [--grid tiny|full]
-//!        [--telemetry PATH] [--trace-out PATH] [--manifest PATH]
-//!        [--progress] [--quiet]
+//!        [--telemetry PATH] [--trace-out PATH] [--progress] [--quiet]
 //! ```
 
 use std::process::ExitCode;

@@ -57,7 +57,7 @@ fn main() -> std::process::ExitCode {
 
 #[cfg(unix)]
 mod unix {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::path::{Path, PathBuf};
@@ -72,8 +72,8 @@ mod unix {
     use ce_bench::fault;
     use ce_bench::iofault::{self, FaultClass};
     use ce_bench::json::Json;
-    use ce_bench::service::MAX_REQUEST_LINE;
-    use ce_bench::telemetry;
+    use ce_bench::service::{request_line, wait_idle, MAX_REQUEST_LINE};
+    use ce_bench::telemetry::HealthReport;
     use rand::{Rng, SeedableRng, StdRng};
 
     struct Options {
@@ -298,25 +298,10 @@ mod unix {
         cmd.spawn()
     }
 
-    /// One-shot request on a fresh connection; returns the first
-    /// response line, if any.
-    fn request_line(socket: &Path, line: &str) -> Option<String> {
-        let mut stream = UnixStream::connect(socket).ok()?;
-        stream.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-        stream.write_all(line.as_bytes()).ok()?;
-        stream.write_all(b"\n").ok()?;
-        let mut reader = BufReader::new(stream);
-        let mut response = String::new();
-        reader.read_line(&mut response).ok()?;
-        (!response.is_empty()).then(|| response.trim().to_owned())
-    }
-
     fn wait_ready(socket: &Path, child: &mut Child) -> Result<(), String> {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            if request_line(socket, "{\"op\": \"ping\"}")
-                .is_some_and(|r| r.contains("pong"))
-            {
+            if request_line(socket, "{\"op\": \"ping\"}").is_ok_and(|r| r.contains("pong")) {
                 return Ok(());
             }
             if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
@@ -469,12 +454,18 @@ mod unix {
         let _ = child.wait();
     }
 
-    /// The cells each execution of each job settled by simulation,
-    /// proven by checkpoint-write telemetry events.
-    fn exec_profiles(state: &Path) -> BTreeMap<u64, Vec<BTreeSet<u64>>> {
-        let mut jobs: BTreeMap<u64, Vec<BTreeSet<u64>>> = BTreeMap::new();
+    /// Every `job J cell C` that more than one execution of job J
+    /// settled by simulation, as each execution's telemetry journal
+    /// proves with its checkpoint-write events.
+    ///
+    /// # Errors
+    ///
+    /// A journal that cannot be read or parsed: it proves nothing, so the
+    /// duplicate-simulation gate must not pass on it.
+    fn duplicate_simulations(state: &Path) -> Result<Vec<String>, String> {
+        let (mut settled, mut duplicates) = (BTreeSet::new(), Vec::new());
         let Ok(entries) = std::fs::read_dir(state.join("telemetry")) else {
-            return jobs;
+            return Ok(duplicates);
         };
         let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
         paths.sort();
@@ -488,16 +479,17 @@ mod unix {
             else {
                 continue;
             };
-            let bytes = std::fs::read(&path).unwrap_or_default();
-            let records = telemetry::FORMAT.parse(&bytes).map(|p| p.records).unwrap_or_default();
-            let cells = records
-                .iter()
-                .filter(|(_, doc)| doc.at("ev").and_then(Json::as_str) == Some("checkpoint-write"))
-                .filter_map(|(_, doc)| doc.at("cell").and_then(Json::as_u64))
-                .collect();
-            jobs.entry(id).or_default().push(cells);
+            let health = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| HealthReport::from_journal(&text))
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            for cell in health.checkpointed {
+                if !settled.insert((id, cell)) {
+                    duplicates.push(format!("job {id} cell {cell}"));
+                }
+            }
         }
-        jobs
+        Ok(duplicates)
     }
 
     /// A storm gate as a `pass`/`fail` case timed from `start`.
@@ -605,23 +597,8 @@ mod unix {
         let mut daemon = spawn_daemon(&bin, state, &socket, None)
             .map_err(|e| format!("spawning recovery cesimd: {e}"))?;
         wait_ready(&socket, &mut daemon)?;
-        let deadline = Instant::now() + Duration::from_secs(600);
-        loop {
-            let status = request_line(&socket, "{\"op\": \"status\"}")
-                .ok_or("status request failed during drain")?;
-            let doc = Json::parse(&status).map_err(|e| format!("status: {e}"))?;
-            let queued = doc.at("queued").and_then(Json::as_u64).unwrap_or(0);
-            let running = doc.at("running").and_then(Json::as_u64).unwrap_or(0);
-            if queued == 0 && running == 0 {
-                break;
-            }
-            if Instant::now() > deadline {
-                return Err(format!(
-                    "recovered jobs never drained (queued {queued}, running {running})"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        wait_idle(&socket, Duration::from_secs(600))
+            .map_err(|e| format!("recovery daemon: {e}"))?;
         println!("cechaos: recovery daemon drained every WAL-recovered job");
 
         for (name, line) in &spec_pool() {
@@ -645,23 +622,18 @@ mod unix {
         // Gate 3: zero duplicate simulation — across every daemon
         // generation, no job ever simulated the same cell twice.
         let start = Instant::now();
-        let mut duplicates = Vec::new();
-        for (job, execs) in exec_profiles(state) {
-            let mut seen: BTreeSet<u64> = BTreeSet::new();
-            for cells in &execs {
-                for &cell in cells {
-                    if !seen.insert(cell) {
-                        duplicates.push(format!("job {job} cell {cell}"));
-                    }
-                }
-            }
-        }
-        let detail = format!(
-            "{} cell(s) simulated in more than one execution: [{}]",
-            duplicates.len(),
-            duplicates.join(", ")
-        );
-        cases.push(storm_case("duplicate simulation", duplicates.is_empty(), detail, start));
+        let (held, detail) = match duplicate_simulations(state) {
+            Ok(duplicates) => (
+                duplicates.is_empty(),
+                format!(
+                    "{} cell(s) simulated in more than one execution: [{}]",
+                    duplicates.len(),
+                    duplicates.join(", ")
+                ),
+            ),
+            Err(e) => (false, format!("unreadable telemetry journal: {e}")),
+        };
+        cases.push(storm_case("duplicate simulation", held, detail, start));
 
         let start = Instant::now();
         let _ = request_line(&socket, "{\"op\": \"shutdown\"}");

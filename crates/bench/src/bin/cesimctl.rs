@@ -28,10 +28,11 @@
 mod ctl {
     use ce_bench::api::{CellSpec, JobEvent, JobSpec, SweepKind, SweepRequest};
     use ce_bench::json::Json;
+    use ce_bench::service::request_line;
     use ce_workloads::Benchmark;
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::os::unix::net::UnixStream;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::process::ExitCode;
 
     const USAGE: &str = "usage: cesimctl [--socket PATH] \
@@ -145,31 +146,16 @@ mod ctl {
         Ok(Options { socket, command, artifacts, quiet })
     }
 
-    fn request(socket: &PathBuf, line: &str) -> std::io::Result<BufReader<UnixStream>> {
-        let mut stream = UnixStream::connect(socket)?;
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-        Ok(BufReader::new(stream))
-    }
-
     /// One-line ops: send, print the single reply, succeed if any reply
     /// came back.
-    fn simple_op(socket: &PathBuf, op: &str) -> ExitCode {
-        let reader = match request(socket, &format!("{{\"op\": \"{op}\"}}")) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cesimctl: error[io]: connecting {}: {e}", socket.display());
-                return ExitCode::from(2);
-            }
-        };
-        match reader.lines().next() {
-            Some(Ok(line)) => {
+    fn simple_op(socket: &Path, op: &str) -> ExitCode {
+        match request_line(socket, &format!("{{\"op\": \"{op}\"}}")) {
+            Ok(line) => {
                 println!("{line}");
                 ExitCode::SUCCESS
             }
-            _ => {
-                eprintln!("cesimctl: error[io]: no reply from daemon");
+            Err(e) => {
+                eprintln!("cesimctl: error[io]: {}: {e}", socket.display());
                 ExitCode::from(2)
             }
         }
@@ -177,7 +163,12 @@ mod ctl {
 
     fn submit(opts: &Options, spec: &JobSpec) -> ExitCode {
         let line = format!("{{\"op\": \"submit\", \"spec\": {}}}", spec.to_json());
-        let reader = match request(&opts.socket, &line) {
+        let request = || -> std::io::Result<BufReader<UnixStream>> {
+            let mut stream = UnixStream::connect(&opts.socket)?;
+            stream.write_all(format!("{line}\n").as_bytes())?;
+            Ok(BufReader::new(stream))
+        };
+        let reader = match request() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cesimctl: error[io]: connecting {}: {e}", opts.socket.display());

@@ -1,15 +1,16 @@
 //! `cesimd` — the persistent experiment daemon.
 //!
 //! ```text
-//! cesimd [--socket PATH] [--state DIR] [--max-pending N]
-//!        [--degrade-pending N] [--quiet] [--fsck]
+//! cesimd [--socket PATH] [--state DIR] [--max-pending N] [--quiet] [--fsck]
 //!
 //!   --socket PATH       Unix socket to listen on
 //!                       (default: <state>/cesimd.sock)
-//!   --state DIR         state directory: WAL, result store, journals,
-//!                       artifacts (default: cesimd-state)
-//!   --max-pending N     reject submissions beyond N pending jobs (8)
-//!   --degrade-pending N degrade opt-in jobs to sampled mode at N (4)
+//!   --state DIR         state directory: job WAL, result store,
+//!                       telemetry journals, artifacts
+//!                       (default: cesimd-state)
+//!   --max-pending N     reject submissions beyond N pending jobs (8);
+//!                       from N/2 (rounded up) on, degrade opt-in jobs to
+//!                       sampled mode
 //!   --quiet             suppress informational stderr lines
 //!   --fsck              audit and repair the state dir, print the
 //!                       report, and exit without serving
@@ -18,10 +19,11 @@
 //! Protocol, store layout, and the crash-recovery contract are
 //! documented in `ce_bench::service` and DESIGN.md. Talk to it with
 //! `cesimctl`. Stop it with SIGTERM (drains, then exits 0); `kill -9`
-//! is recoverable — the next start resumes every interrupted job. Every
-//! start runs the same audit as `--fsck` first (`ce_bench::fsck`):
-//! orphaned tempfiles are swept and corrupt files are moved to
-//! `<state>/quarantine/` before any loader touches them.
+//! is recoverable — the next start resumes every interrupted job, its
+//! settled cells served from the result store. Every start runs the
+//! same audit as `--fsck` first (`ce_bench::fsck`): orphaned tempfiles
+//! are swept and corrupt files are moved to `<state>/quarantine/`
+//! before any loader touches them.
 //!
 //! Exit codes: 0 clean shutdown (or clean `--fsck`), 1 `--fsck` found
 //! corruption (quarantined, bytes preserved), 2 startup/usage errors
@@ -35,19 +37,14 @@ fn main() -> std::process::ExitCode {
     use ce_bench::service::{run, ServiceConfig};
     use std::path::PathBuf;
 
-    let mut state_dir = PathBuf::from("cesimd-state");
+    // The socket defaults to one inside the state dir, set after parsing.
+    let mut config = ServiceConfig::new(PathBuf::new(), PathBuf::from("cesimd-state"));
     let mut socket: Option<PathBuf> = None;
-    let mut max_pending = 8usize;
-    let mut degrade_pending = 4usize;
-    let mut quiet = false;
     let mut fsck_only = false;
 
     let mut args = std::env::args().skip(1);
     let usage = || {
-        eprintln!(
-            "usage: cesimd [--socket PATH] [--state DIR] [--max-pending N] \
-             [--degrade-pending N] [--quiet] [--fsck]"
-        );
+        eprintln!("usage: cesimd [--socket PATH] [--state DIR] [--max-pending N] [--quiet] [--fsck]");
         std::process::ExitCode::from(2)
     };
     while let Some(arg) = args.next() {
@@ -57,18 +54,13 @@ fn main() -> std::process::ExitCode {
         let result: Result<(), String> = (|| {
             match arg.as_str() {
                 "--socket" => socket = Some(PathBuf::from(value("--socket")?)),
-                "--state" => state_dir = PathBuf::from(value("--state")?),
+                "--state" => config.state_dir = PathBuf::from(value("--state")?),
                 "--max-pending" => {
-                    max_pending = value("--max-pending")?
+                    config.max_pending = value("--max-pending")?
                         .parse()
                         .map_err(|e| format!("bad --max-pending: {e}"))?;
                 }
-                "--degrade-pending" => {
-                    degrade_pending = value("--degrade-pending")?
-                        .parse()
-                        .map_err(|e| format!("bad --degrade-pending: {e}"))?;
-                }
-                "--quiet" => quiet = true,
+                "--quiet" => config.quiet = true,
                 "--fsck" => fsck_only = true,
                 "--help" | "-h" => return Err(String::new()),
                 other => return Err(format!("unknown argument `{other}`")),
@@ -91,7 +83,7 @@ fn main() -> std::process::ExitCode {
     }
 
     if fsck_only {
-        return match ce_bench::fsck::fsck(&state_dir, true) {
+        return match ce_bench::fsck::fsck(&config.state_dir, true) {
             Ok(report) => {
                 println!("{report}");
                 if report.clean() {
@@ -107,13 +99,7 @@ fn main() -> std::process::ExitCode {
         };
     }
 
-    let config = ServiceConfig {
-        socket: socket.unwrap_or_else(|| state_dir.join("cesimd.sock")),
-        state_dir,
-        max_pending,
-        degrade_pending,
-        quiet,
-    };
+    config.socket = socket.unwrap_or_else(|| config.state_dir.join("cesimd.sock"));
     match run(config) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

@@ -23,7 +23,7 @@
 //! ## The grid
 //!
 //! [`durability_workload`] drives every durability-critical shape the
-//! service owns — an atomic CSV write, the job WAL's own records through
+//! harness owns — an atomic CSV write, the job WAL's own records through
 //! the [`journal`](crate::journal) appender with an fsync each, a
 //! checkpoint [`Journal`](crate::checkpoint::Journal) cycle, and
 //! content-addressed store inserts — through the fault seam on a single
@@ -65,7 +65,7 @@ pub fn synthetic_result(k: u64) -> TimedResult {
     TimedResult { stats, sampled: None, wall: Duration::from_micros(10 + k) }
 }
 
-/// One pass over every durability-critical write shape the service
+/// One pass over every durability-critical write shape the harness
 /// owns, all through the [`crate::iofault`] seam, all on the calling
 /// thread (so a thread-local [`FailPlan`] sees every operation):
 ///

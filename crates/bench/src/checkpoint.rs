@@ -449,6 +449,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The loader keeps records exactly where the format's classifier
+    /// (what `fsck` reports for a journal of this format) calls the file
+    /// valid or torn-tail, and discards it exactly where it says corrupt.
+    #[test]
+    fn load_agrees_with_the_classifier_on_every_journal_shape() {
+        use crate::journal::JournalClass;
+        let dir = temp_dir("shapes");
+        let spec = CheckpointSpec { path: dir.join("k.ckpt.jsonl"), resume: false };
+        let (mut j, _) = Journal::open(&spec, 0xA6EE, 2).unwrap();
+        for cell in 0..2 {
+            let result = TimedResult { stats: sample_stats(cell), sampled: None, wall: Duration::ZERO };
+            j.record(cell as usize, &result).unwrap();
+        }
+        let text = std::fs::read_to_string(&spec.path).unwrap();
+        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        for (shape, bytes, kept, class) in crate::journal::tests::shapes(&lines) {
+            let loaded = load(bytes.as_bytes(), 0xA6EE, 2);
+            assert_eq!(loaded.map(|(cells, _)| cells.iter().flatten().count()), kept, "{shape}");
+            assert_eq!(FORMAT.classify(bytes.as_bytes()), class, "{shape}");
+            assert_eq!(kept.is_none(), class == JournalClass::Corrupt, "{shape}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn mismatched_sweep_id_or_geometry_discards_the_journal() {
         let dir = temp_dir("mismatch");

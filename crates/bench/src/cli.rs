@@ -8,8 +8,6 @@
 //!                   unfinished cells
 //! --telemetry PATH  write the JSONL engine-telemetry journal to PATH
 //! --trace-out PATH  write a Chrome trace_event timeline (Perfetto) to PATH
-//! --manifest PATH   write the run manifest to PATH (default: next to the
-//!                   CSV as <stem>.manifest.json — always written)
 //! --progress        force the live progress line on (default: on when
 //!                   stderr is a TTY and not resuming)
 //! --quiet           suppress the progress line and info messages
@@ -22,9 +20,10 @@
 //! next to `--out`, the sweep, the `resumed N of M cells` line, and one
 //! end-of-sweep policy. A fully-successful sweep writes every artifact
 //! atomically, writes one content-addressed [`manifest`](crate::manifest)
-//! naming them all, and deletes the journal; a sweep with failures writes
-//! **no** artifact and no manifest, keeps the journal for a later
-//! `--resume`, reports every failure with its
+//! naming them all as `<stem>.manifest.json` beside the CSV (its
+//! verifiers look for the artifacts there), and deletes the journal; a
+//! sweep with failures writes **no** artifact and no manifest, keeps the
+//! journal for a later `--resume`, reports every failure with its
 //! [`RunError`](crate::runner::RunError) category, and exits 1. I/O
 //! errors exit 2.
 
@@ -40,8 +39,7 @@ use crate::runner::{cell_weights, run_sweep_ft, SweepOptions, SweepSummary, Time
 use crate::telemetry::{Telemetry, TelemetryConfig};
 
 /// The usage fragment for the shared observability flags.
-const OBS_USAGE: &str =
-    "[--telemetry PATH] [--trace-out PATH] [--manifest PATH] [--progress] [--quiet]";
+const OBS_USAGE: &str = "[--telemetry PATH] [--trace-out PATH] [--progress] [--quiet]";
 
 /// The shared observability flags every sweep/explore binary accepts.
 #[derive(Debug, Clone, Default)]
@@ -50,9 +48,6 @@ pub struct ObsFlags {
     pub telemetry: Option<PathBuf>,
     /// `--trace-out PATH`: write a Chrome `trace_event` timeline.
     pub trace_out: Option<PathBuf>,
-    /// `--manifest PATH`: override the manifest path (default: next to
-    /// the CSV).
-    pub manifest: Option<PathBuf>,
     /// `--progress`: force the live progress line on.
     pub progress: bool,
     /// `--quiet`: no progress line, no info messages (failures still
@@ -82,10 +77,6 @@ impl ObsFlags {
                 self.trace_out =
                     Some(PathBuf::from(args.next().ok_or("--trace-out needs a path argument")?));
             }
-            "--manifest" => {
-                self.manifest =
-                    Some(PathBuf::from(args.next().ok_or("--manifest needs a path argument")?));
-            }
             "--progress" => self.progress = true,
             "--quiet" => self.quiet = true,
             _ => return Ok(false),
@@ -110,12 +101,6 @@ impl ObsFlags {
             return false;
         }
         self.progress || (std::io::stderr().is_terminal() && !resume)
-    }
-
-    /// Where the run manifest goes: `--manifest` when given, else next to
-    /// the result file.
-    pub fn manifest_path(&self, out: &Path) -> PathBuf {
-        self.manifest.clone().unwrap_or_else(|| manifest::manifest_path(out))
     }
 }
 
@@ -322,8 +307,8 @@ pub fn drive_plan(
 /// sweep without failures; it prints the binary's console table and
 /// returns its artifacts as `(file name, content)` pairs. The first
 /// lands at `--out`, the others next to it under their own names, and
-/// the manifest (at `--manifest`, or next to `--out`) vouches for every
-/// one with the cache key of `(code version, traces, configs, options)`.
+/// the manifest next to `--out` vouches for every one with the cache key
+/// of `(code version, traces, configs, options)`.
 pub fn drive<R: SweepOutput>(
     name: &str,
     args: &SweepArgs,
@@ -393,7 +378,7 @@ pub fn drive<R: SweepOutput>(
         }
         paths.push(path);
     }
-    let manifest_out = args.obs.manifest_path(&args.out);
+    let manifest_out = manifest::manifest_path(&args.out);
     let artifacts: Vec<&Path> = paths.iter().map(PathBuf::as_path).collect();
     let manifest = manifest::write_manifest(
         &manifest_out,
@@ -499,13 +484,11 @@ mod tests {
     #[test]
     fn obs_flags_parse() {
         let a = parse(&[
-            "--telemetry", "/tmp/t.jsonl", "--trace-out", "/tmp/t.trace.json",
-            "--manifest", "/tmp/t.manifest.json", "--quiet",
+            "--telemetry", "/tmp/t.jsonl", "--trace-out", "/tmp/t.trace.json", "--quiet",
         ])
         .unwrap();
         assert_eq!(a.obs.telemetry, Some(PathBuf::from("/tmp/t.jsonl")));
         assert_eq!(a.obs.trace_out, Some(PathBuf::from("/tmp/t.trace.json")));
-        assert_eq!(a.obs.manifest, Some(PathBuf::from("/tmp/t.manifest.json")));
         assert!(a.obs.quiet && !a.obs.progress);
         assert!(parse(&["--progress"]).unwrap().obs.progress);
 
@@ -524,17 +507,6 @@ mod tests {
         assert!(forced.progress_enabled(true), "explicit --progress wins over --resume");
         let quiet = ObsFlags { quiet: true, ..ObsFlags::default() };
         assert!(!quiet.progress_enabled(false));
-    }
-
-    #[test]
-    fn manifest_path_defaults_next_to_csv_and_obeys_override() {
-        let obs = ObsFlags::default();
-        assert_eq!(
-            obs.manifest_path(Path::new("results/fig13_ipc.csv")),
-            PathBuf::from("results/fig13_ipc.manifest.json")
-        );
-        let obs = ObsFlags { manifest: Some(PathBuf::from("/tmp/m.json")), ..obs };
-        assert_eq!(obs.manifest_path(Path::new("results/fig13_ipc.csv")), PathBuf::from("/tmp/m.json"));
     }
 
     fn quiet_args(out: PathBuf) -> SweepArgs {

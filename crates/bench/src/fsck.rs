@@ -25,13 +25,13 @@
 //! startup, *before* opening the WAL; `cesimd --fsck` runs it standalone
 //! and exits `0` (clean) or `1` (something was quarantined).
 //!
-//! Scanned formats: `jobs.jsonl` (WAL), `ckpt/*.ckpt.jsonl` (sweep
-//! checkpoints), `telemetry/*.jsonl` (event journals), `store/*.json`
+//! Scanned formats, which are everything the daemon writes: `jobs.jsonl`
+//! (WAL), `telemetry/*.jsonl` (event journals), `store/*.json`
 //! (content-addressed results, embedded key checked against the
 //! filename), and `artifacts/job-*/manifest.json` with every artifact's
 //! size and FNV-64 re-verified against the manifest's record. Files
-//! fsck has no format for (the socket, the quarantine area itself) are
-//! left alone.
+//! fsck has no format for (the socket, the quarantine area itself,
+//! anything an older build left) are left alone.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -177,8 +177,8 @@ pub fn fsck(state_dir: &Path, fix: bool) -> std::io::Result<FsckReport> {
         });
     }
 
-    for (path, classify) in journals(state_dir) {
-        let (class, detail) = match classify(&std::fs::read(&path).unwrap_or_default()) {
+    for (path, class) in journals(state_dir) {
+        let (class, detail) = match class {
             JournalClass::Valid => (FileClass::Valid, ""),
             JournalClass::TornTail => {
                 (FileClass::TornTail, "torn final line; loader drops it and replays the rest")
@@ -259,29 +259,21 @@ fn record(
     Ok(())
 }
 
-/// A journal's structural verdict, from the parse its loader runs.
-type Classify = fn(&[u8]) -> JournalClass;
-
-/// The state dir's journals, each paired with its format's classifier:
-/// the jobs WAL, then every checkpoint and telemetry journal.
-fn journals(state_dir: &Path) -> Vec<(PathBuf, Classify)> {
-    let mut found: Vec<(PathBuf, Classify)> = Vec::new();
+/// The state dir's journals, each with the structural verdict of the
+/// parse its loader runs: the jobs WAL, then every telemetry journal.
+fn journals(state_dir: &Path) -> Vec<(PathBuf, JournalClass)> {
+    let read = |path: &Path| std::fs::read(path).unwrap_or_default();
+    let mut found = Vec::new();
     #[cfg(unix)]
     {
         let wal = state_dir.join("jobs.jsonl");
         if wal.is_file() {
-            found.push((wal, |bytes| crate::service::WAL.classify(bytes)));
+            found.push((wal.clone(), crate::service::WAL.classify(&read(&wal))));
         }
     }
-    let per_dir: [(&str, Classify); 2] = [
-        ("ckpt", |bytes| crate::checkpoint::FORMAT.classify(bytes)),
-        ("telemetry", |bytes| crate::telemetry::FORMAT.classify(bytes)),
-    ];
-    for (dir, classify) in per_dir {
-        for path in files_in(&state_dir.join(dir)) {
-            if path.extension().is_some_and(|x| x == "jsonl") {
-                found.push((path, classify));
-            }
+    for path in files_in(&state_dir.join("telemetry")) {
+        if path.extension().is_some_and(|x| x == "jsonl") {
+            found.push((path.clone(), crate::telemetry::FORMAT.classify(&read(&path))));
         }
     }
     found
@@ -452,7 +444,7 @@ mod tests {
     fn state(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ce-fsck-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("ckpt")).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
@@ -469,7 +461,8 @@ mod tests {
     #[test]
     fn orphan_tempfiles_are_swept() {
         let dir = state("orphans");
-        let orphan = dir.join("ckpt").join("job-3.csv.tmp.9999");
+        std::fs::create_dir_all(dir.join("store")).unwrap();
+        let orphan = dir.join("store").join("00aa.tmp.9999");
         std::fs::write(&orphan, "half a file").unwrap();
 
         let report = fsck(&dir, false).unwrap();
@@ -488,7 +481,7 @@ mod tests {
     #[cfg(unix)]
     mod agreement {
         use super::*;
-        use FileClass::{Quarantined, TornTail, Valid};
+        use crate::journal::tests::shapes;
 
         /// One journal kind: where it lives in a state dir, a header and
         /// two records its real writer produced, and its loader, reduced
@@ -499,20 +492,8 @@ mod tests {
             load: fn(&[u8]) -> Option<usize>,
         }
 
-        const CKPT_ID: u64 = 0xA6EE;
-
-        fn lines_of(path: &Path) -> Vec<String> {
-            std::fs::read_to_string(path).unwrap().lines().map(str::to_owned).collect()
-        }
-
         fn kinds(scratch: &Path) -> Vec<Kind> {
-            use crate::checkpoint::{CheckpointSpec, Journal};
             use crate::telemetry::{Event, Telemetry, TelemetryConfig};
-            let spec = CheckpointSpec { path: scratch.join("k.ckpt.jsonl"), resume: false };
-            let (mut journal, _) = Journal::open(&spec, CKPT_ID, 2).unwrap();
-            for cell in 0..2 {
-                journal.record(cell, &crate::chaos::synthetic_result(cell as u64)).unwrap();
-            }
             let config = TelemetryConfig {
                 name: "k".into(),
                 journal: Some(scratch.join("k.tel.jsonl")),
@@ -524,14 +505,6 @@ mod tests {
             let spec_json = crate::api::JobSpec::preset(crate::api::SweepKind::Fig13);
             vec![
                 Kind {
-                    path: "ckpt/job-1.ckpt.jsonl",
-                    lines: lines_of(&spec.path),
-                    load: |b| {
-                        let (cells, _) = crate::checkpoint::load(b, CKPT_ID, 2)?;
-                        Some(cells.iter().flatten().count())
-                    },
-                },
-                Kind {
                     path: "jobs.jsonl",
                     lines: vec![
                         crate::service::wal_header(3),
@@ -542,7 +515,11 @@ mod tests {
                 },
                 Kind {
                     path: "telemetry/job-1.exec-0.jsonl",
-                    lines: lines_of(&scratch.join("k.tel.jsonl")),
+                    lines: std::fs::read_to_string(scratch.join("k.tel.jsonl"))
+                        .unwrap()
+                        .lines()
+                        .map(str::to_owned)
+                        .collect(),
                     load: |b| {
                         let text = std::str::from_utf8(b).ok()?;
                         Some(crate::telemetry::HealthReport::from_journal(text).ok()?.cache_hits)
@@ -551,27 +528,22 @@ mod tests {
             ]
         }
 
-        /// The loader/`fsck` agreement table: every journal kind's loader
-        /// and `fsck` read the same fixtures to the same verdict — records
-        /// kept with the file left in place (valid, or a dropped torn
-        /// tail), or the journal discarded and quarantined, bytes intact.
+        /// The loader/`fsck` agreement table: every journal kind the
+        /// daemon writes and `fsck` read the same fixtures to the same
+        /// verdict — records kept with the file left in place (valid, or
+        /// a dropped torn tail), or the journal discarded and
+        /// quarantined, bytes intact. (The CLI's checkpoint journal is
+        /// held to the same shapes in `checkpoint`'s tests.)
         #[test]
         fn loaders_and_fsck_agree_on_every_journal_shape() {
             let root = state("agree");
             for kind in kinds(&root) {
-                let [h, r1, r2] = [&kind.lines[0], &kind.lines[1], &kind.lines[2]];
-                let (t1, t2) = (&r1[..r1.len() / 2], &r2[..r2.len() / 2]);
-                let fixtures = [
-                    ("valid", format!("{h}\n{r1}\n{r2}\n"), Some(2), Valid),
-                    ("empty", String::new(), Some(0), TornTail),
-                    ("lone torn header", h[..h.len() / 2].to_owned(), Some(0), TornTail),
-                    ("torn final record", format!("{h}\n{r1}\n{t2}"), Some(1), TornTail),
-                    ("damage mid-file", format!("{h}\n{t1}\n{r2}\n"), None, Quarantined),
-                    ("blank line mid-file", format!("{h}\n{r1}\n\n{r2}\n"), None, Quarantined),
-                    ("final record, no newline", format!("{h}\n{r1}\n{r2}"), Some(1), TornTail),
-                    ("foreign header", format!("{{\"o\": 1}}\n{r1}\n{r2}\n"), None, Quarantined),
-                ];
-                for (shape, text, kept, class) in fixtures {
+                for (shape, text, kept, class) in shapes(&kind.lines) {
+                    let class = match class {
+                        JournalClass::Valid => FileClass::Valid,
+                        JournalClass::TornTail => FileClass::TornTail,
+                        JournalClass::Corrupt => FileClass::Quarantined,
+                    };
                     let case = format!("{} / {shape}", kind.path);
                     let dir = state("agree-case");
                     let path = dir.join(kind.path);
@@ -582,7 +554,7 @@ mod tests {
                     let report = fsck(&dir, true).unwrap();
                     let item = report.items.iter().find(|i| i.path == path).expect("audited");
                     assert_eq!(item.class, class, "{case}: fsck");
-                    if class == Quarantined {
+                    if class == FileClass::Quarantined {
                         assert!(!path.exists(), "{case}: moved out of the state dir");
                         let name = path.file_name().unwrap();
                         let moved = std::fs::read(dir.join("quarantine").join(name)).unwrap();

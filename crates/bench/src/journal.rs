@@ -180,9 +180,31 @@ impl Appender {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::iofault::{with_plan, FailPlan, FaultClass};
+
+    /// The eight journal shapes every loader is held to, built from a
+    /// header and two records its real writer produced: `(shape, bytes,
+    /// records the loader keeps, the classifier's verdict)`, where a
+    /// loader that keeps `None` discards the journal.
+    pub(crate) fn shapes(
+        lines: &[String],
+    ) -> [(&'static str, String, Option<usize>, JournalClass); 8] {
+        use JournalClass::{Corrupt, TornTail, Valid};
+        let [h, r1, r2] = [&lines[0], &lines[1], &lines[2]];
+        let (t1, t2) = (&r1[..r1.len() / 2], &r2[..r2.len() / 2]);
+        [
+            ("valid", format!("{h}\n{r1}\n{r2}\n"), Some(2), Valid),
+            ("empty", String::new(), Some(0), TornTail),
+            ("lone torn header", h[..h.len() / 2].to_owned(), Some(0), TornTail),
+            ("torn final record", format!("{h}\n{r1}\n{t2}"), Some(1), TornTail),
+            ("damage mid-file", format!("{h}\n{t1}\n{r2}\n"), None, Corrupt),
+            ("blank line mid-file", format!("{h}\n{r1}\n\n{r2}\n"), None, Corrupt),
+            ("final record, no newline", format!("{h}\n{r1}\n{r2}"), Some(1), TornTail),
+            ("foreign header", format!("{{\"o\": 1}}\n{r1}\n{r2}\n"), None, Corrupt),
+        ]
+    }
 
     /// A toy format: `{"n": k}` records.
     const TOY: Format<u64> = Format { tag: "toy", decode: |doc| doc.at("n")?.as_u64() };

@@ -279,8 +279,8 @@ impl fmt::Display for CellFailure {
 /// A callback invoked from worker threads as each *freshly simulated*
 /// cell completes (never for cells recovered from a checkpoint or
 /// supplied via [`SweepOptions::prefill`]). The experiment service hangs
-/// its result-store writes off this hook so every finished cell is
-/// durable the moment it exists, independent of the checkpoint journal.
+/// its result-store inserts off this hook: the store is its only cell
+/// record, so every finished cell is durable the moment it exists.
 #[derive(Clone, Default)]
 pub struct CellHook(pub Option<CellHookFn>);
 
@@ -776,16 +776,16 @@ pub fn run_sweep_ft(
         opts.on_cell.call(i, result);
         if let Some(journal) = &journal {
             let write_start = Instant::now();
-            let appended = journal.lock().expect("journal poisoned").record(i, result);
-            if tel.enabled() {
+            let recorded = journal.lock().expect("journal poisoned").record(i, result);
+            if let Err(e) = recorded {
+                journal_err.lock().expect("journal error slot").get_or_insert(e);
+            } else if tel.enabled() {
+                // Only a record that landed proves the cell durable.
                 tel.emit(Event::CheckpointWrite {
                     cell: i,
                     write_us: u64::try_from(write_start.elapsed().as_micros())
                         .unwrap_or(u64::MAX),
                 });
-            }
-            if let Err(e) = appended {
-                journal_err.lock().expect("journal error slot").get_or_insert(e);
             }
         }
     });

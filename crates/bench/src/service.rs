@@ -9,7 +9,6 @@
 //! ```text
 //! <state>/jobs.jsonl                      write-ahead job journal (WAL)
 //! <state>/store/<cell-key>.json           content-addressed cell results
-//! <state>/ckpt/job-<id>.ckpt.jsonl        per-job cell checkpoint journal
 //! <state>/telemetry/job-<id>.exec-<k>.jsonl  one telemetry journal per
 //!                                         *execution* (k bumps on restart)
 //! <state>/artifacts/job-<id>/<name>       rendered CSVs + manifest.json
@@ -25,33 +24,32 @@
 //!    if the append or its fsync fails, the record is rolled back before
 //!    the client hears `error[io]`, so a refused job leaves nothing to
 //!    replay and its id goes to the next submission.
-//! 2. **running** — cells settle into two idempotent stores as they
-//!    finish: the per-job checkpoint journal (one append per cell, a torn
-//!    final line dropped on resume) and the content-addressed result
-//!    store (atomic tempfile + rename per cell). A `kill -9` mid-cell
-//!    loses at most the in-flight cells' partial work.
+//! 2. **running** — cells settle into the result store as they finish
+//!    (atomic tempfile + fsync + rename per cell), the daemon's only
+//!    record of a cell. A `kill -9` mid-cell loses at most the in-flight
+//!    cells' partial work.
 //! 3. **done** — artifacts written, `done` appended to the WAL.
 //!
 //! On startup the WAL is compacted: `submitted`-without-`done` jobs are
 //! re-enqueued headless (no client connection; results land in the store
 //! and artifact directory as normal), everything else is dropped. A
-//! re-enqueued job re-runs **nothing** that already settled: completed
-//! cells come back from its checkpoint journal and from the result
-//! store, so the replayed execution simulates only the cells that were
-//! actually in flight when the daemon died — and its CSVs are
-//! byte-identical because cell results are deterministic and u64
-//! counters round-trip losslessly through both stores.
+//! re-enqueued job re-runs **nothing** that already settled: the store
+//! lookup every job makes serves each settled cell as a hit, so the
+//! replayed execution simulates only the cells that were actually in
+//! flight when the daemon died — and its CSVs are byte-identical because
+//! cell results are deterministic and u64 counters round-trip losslessly
+//! through the store. Checkpoint journals an older build left here are
+//! ignored: their cells belong to another code version.
 //!
 //! ## Admission control and degradation
 //!
 //! The queue is bounded ([`ServiceConfig::max_pending`]); beyond it
 //! clients get a structured `error[overloaded]` instead of latency.
-//! Between [`ServiceConfig::degrade_pending`] and the bound, a job that
-//! opted in (`allow_degraded`) is downgraded to sampled simulation — the
-//! explicit pressure valve: an answer now, flagged `degraded`, never a
-//! silently different exact answer. Per-job deadlines, retry with
-//! exponential backoff, and quarantine are inherited from
-//! [`run_sweep_ft`]'s [`RunPolicy`].
+//! From half the bound on, a job that opted in (`allow_degraded`) is
+//! downgraded to sampled simulation — the explicit pressure valve: an
+//! answer now, flagged `degraded`, never a silently different exact
+//! answer. Per-job deadlines, retry with exponential backoff, and
+//! quarantine are inherited from [`run_sweep_ft`]'s [`RunPolicy`].
 //!
 //! ## Shutdown
 //!
@@ -61,17 +59,17 @@
 //! path, not an error: the WAL replay above covers it.
 
 use std::collections::VecDeque;
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ce_workloads::trace_cache_stats;
 
 use crate::api::{CellSource, JobEvent, JobOutcome, JobSpec};
-use crate::checkpoint::{write_atomic, CheckpointSpec};
+use crate::checkpoint::write_atomic;
 use crate::journal::{Appender, Format};
 use crate::json::Json;
 use crate::manifest::{self, cell_key_with};
@@ -89,18 +87,16 @@ pub struct ServiceConfig {
     /// The state directory (WAL, store, journals, artifacts).
     pub state_dir: PathBuf,
     /// Hard admission bound: queued + running jobs ≥ this → reject.
+    /// From half of it on, jobs that allow it degrade to sampled mode.
     pub max_pending: usize,
-    /// Soft pressure mark: at or beyond it, jobs that allow it degrade
-    /// to sampled mode.
-    pub degrade_pending: usize,
     /// Suppress informational stderr lines.
     pub quiet: bool,
 }
 
 impl ServiceConfig {
-    /// A config with the default admission bounds (8 hard, 4 soft).
+    /// A config with the default admission bound (8).
     pub fn new(socket: PathBuf, state_dir: PathBuf) -> ServiceConfig {
-        ServiceConfig { socket, state_dir, max_pending: 8, degrade_pending: 4, quiet: false }
+        ServiceConfig { socket, state_dir, max_pending: 8, quiet: false }
     }
 }
 
@@ -110,7 +106,7 @@ pub enum Admission {
     /// Run as requested.
     Accept,
     /// Run now, but in sampled mode (the job allowed it and the queue is
-    /// past the soft mark).
+    /// at least half full).
     Degrade,
     /// Queue full: reject with `error[overloaded]`.
     Reject,
@@ -118,16 +114,12 @@ pub enum Admission {
 
 /// The pure admission policy: `pending` is queued + running jobs at
 /// decision time. Rejection is unconditional at the hard bound;
-/// degradation needs the job's opt-in.
-pub fn admission(
-    pending: usize,
-    max_pending: usize,
-    degrade_pending: usize,
-    allow_degraded: bool,
-) -> Admission {
+/// degradation, from half the bound (rounded up, so an idle daemon never
+/// degrades) on, needs the job's opt-in.
+pub fn admission(pending: usize, max_pending: usize, allow_degraded: bool) -> Admission {
     if pending >= max_pending {
         Admission::Reject
-    } else if pending >= degrade_pending && allow_degraded {
+    } else if pending >= max_pending.div_ceil(2) && allow_degraded {
         Admission::Degrade
     } else {
         Admission::Accept
@@ -298,18 +290,13 @@ struct Shared {
 pub fn run(config: ServiceConfig) -> Result<(), String> {
     // Audit-and-repair before any loader touches the state dir: orphaned
     // tempfiles are swept and corrupt files quarantined (bytes
-    // preserved under <state>/quarantine/), so every file the WAL,
-    // store, and checkpoint loaders then see is one their recovery
-    // rules actually cover.
+    // preserved under <state>/quarantine/), so every file the WAL and
+    // store loaders then see is one their recovery rules actually cover.
     let audit = crate::fsck::fsck(&config.state_dir, true)
         .map_err(|e| format!("startup fsck: {e}"))?;
     if !config.quiet && (!audit.clean() || audit.count(crate::fsck::FileClass::OrphanTemp) > 0)
     {
         eprintln!("{audit}");
-    }
-    for sub in ["ckpt", "telemetry", "artifacts"] {
-        std::fs::create_dir_all(config.state_dir.join(sub))
-            .map_err(|e| format!("creating state dir: {e}"))?;
     }
     let store = Arc::new(
         ResultStore::open(&config.state_dir.join("store"))
@@ -580,12 +567,7 @@ fn handle_submit(stream: &mut UnixStream, shared: &Shared, doc: &Json) {
             return fail(stream, "overloaded", "daemon is draining for shutdown".into());
         }
         let pending = state.queue.len() + state.running;
-        let decision = admission(
-            pending,
-            shared.config.max_pending,
-            shared.config.degrade_pending,
-            spec.allow_degraded,
-        );
+        let decision = admission(pending, shared.config.max_pending, spec.allow_degraded);
         // Degrading a job that is already sampled changes nothing; keep
         // its flag honest.
         let degraded = decision == Admission::Degrade && undegraded.run.sampled.is_none();
@@ -700,20 +682,28 @@ fn process_job(shared: &Shared, job: QueuedJob) {
     let cache_misses = prefill.len() - cache_hits;
 
     // Freshly simulated cells flow into the store (atomic per cell) and
-    // to the client the moment they finish.
+    // to the client the moment they finish. A `checkpoint-write` event
+    // follows each insert that succeeded, so the execution's journal
+    // proves which cells it settled.
     let io_error: Arc<Mutex<Option<String>>> = Arc::default();
     let hook = {
         let store = Arc::clone(&shared.store);
-        let keys = keys.clone();
-        let code = code.clone();
         let io_error = Arc::clone(&io_error);
+        let telemetry = telemetry.clone();
         // Sender is !Sync; the hook runs on every worker thread.
         let sender = sender.clone().map(Mutex::new);
         let id = job.id;
         CellHook::new(move |i, result| {
-            if let Err(e) = store.insert(&keys[i], &code, result) {
-                let mut slot = io_error.lock().expect("io error slot");
-                slot.get_or_insert_with(|| format!("storing cell {i}: {e}"));
+            let start = Instant::now();
+            match store.insert(&keys[i], &code, result) {
+                Ok(()) => telemetry.emit(Event::CheckpointWrite {
+                    cell: i,
+                    write_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+                }),
+                Err(e) => {
+                    let mut slot = io_error.lock().expect("io error slot");
+                    slot.get_or_insert_with(|| format!("storing cell {i}: {e}"));
+                }
             }
             if let Some(tx) = &sender {
                 let _ = tx
@@ -727,27 +717,16 @@ fn process_job(shared: &Shared, job: QueuedJob) {
     let opts = SweepOptions {
         run: plan.run,
         policy: RunPolicy { cell_timeout: job.spec.deadline_ms.map(Duration::from_millis) },
-        // The cell checkpoint journal survives kill -9 and feeds the
-        // replayed execution; `resume: true` is unconditional because a
-        // fresh job simply has no journal yet.
-        checkpoint: Some(CheckpointSpec::for_output(
-            &state_dir.join("ckpt").join(format!("job-{}.csv", job.id)),
-            true,
-        )),
+        // The store is the only cell record: a replayed job gets its
+        // settled cells back as hits from the lookup above.
+        checkpoint: None,
         telemetry: telemetry.clone(),
         prefill,
         on_cell: hook,
     };
     let evictions_before = trace_cache_stats().evictions;
-    let summary = match run_sweep_ft(&plan.jobs, max_insts, &opts) {
-        Ok(summary) => summary,
-        Err(e) => {
-            // Checkpoint-journal I/O failure: the job is NOT marked done,
-            // so a restart (or the next daemon) retries it.
-            send(JobEvent::Error { kind: "io".into(), message: format!("checkpoint: {e}") });
-            return;
-        }
-    };
+    let summary = run_sweep_ft(&plan.jobs, max_insts, &opts)
+        .expect("a sweep without a checkpoint journal has no I/O to fail");
     let evicted = trace_cache_stats().evictions.saturating_sub(evictions_before);
     if evicted > 0 {
         telemetry.emit(Event::TraceEvicted { count: evicted });
@@ -804,6 +783,50 @@ fn process_job(shared: &Shared, job: QueuedJob) {
     });
 }
 
+/// The client half of a one-line op (`ping`, `status`, `shutdown`):
+/// sends `line` on a fresh connection and returns the first response
+/// line, trimmed, waiting at most 10 s for it.
+///
+/// # Errors
+///
+/// The connect, write or read error, or `UnexpectedEof` when the daemon
+/// hangs up without replying.
+pub fn request_line(socket: &Path, line: &str) -> std::io::Result<String> {
+    let mut stream = UnixStream::connect(socket)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let mut response = String::new();
+    std::io::BufReader::new(stream).read_line(&mut response)?;
+    if response.is_empty() {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(response.trim().to_owned())
+}
+
+/// Polls `status` until the daemon reports no queued and no running job
+/// (WAL-recovered work included).
+///
+/// # Errors
+///
+/// A failed or unparseable `status` reply, or work still pending after
+/// `timeout`.
+pub fn wait_idle(socket: &Path, timeout: Duration) -> Result<(), String> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let reply = request_line(socket, "{\"op\": \"status\"}").map_err(|e| e.to_string())?;
+        let doc = Json::parse(&reply).map_err(|e| format!("status reply: {e}"))?;
+        let count = |key: &str| doc.at(key).and_then(Json::as_u64).unwrap_or(0);
+        let (queued, running) = (count("queued"), count("running"));
+        if queued == 0 && running == 0 {
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err(format!("jobs never drained (queued {queued}, running {running})"));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,14 +838,21 @@ mod tests {
     /// is accepted as-is.
     #[test]
     fn admission_policy_table() {
-        assert_eq!(admission(0, 8, 4, false), Admission::Accept);
-        assert_eq!(admission(3, 8, 4, true), Admission::Accept);
-        assert_eq!(admission(4, 8, 4, false), Admission::Accept);
-        assert_eq!(admission(4, 8, 4, true), Admission::Degrade);
-        assert_eq!(admission(7, 8, 4, true), Admission::Degrade);
-        assert_eq!(admission(8, 8, 4, true), Admission::Reject);
-        assert_eq!(admission(8, 8, 4, false), Admission::Reject);
-        assert_eq!(admission(0, 0, 0, false), Admission::Reject);
+        assert_eq!(admission(0, 8, false), Admission::Accept);
+        assert_eq!(admission(3, 8, true), Admission::Accept);
+        assert_eq!(admission(4, 8, false), Admission::Accept);
+        assert_eq!(admission(4, 8, true), Admission::Degrade);
+        assert_eq!(admission(7, 8, true), Admission::Degrade);
+        assert_eq!(admission(8, 8, true), Admission::Reject);
+        assert_eq!(admission(8, 8, false), Admission::Reject);
+        assert_eq!(admission(0, 0, false), Admission::Reject);
+        // The soft mark follows the bound: half of it, rounded up, so an
+        // idle daemon never degrades.
+        assert_eq!(admission(5, 12, true), Admission::Accept);
+        assert_eq!(admission(6, 12, true), Admission::Degrade);
+        assert_eq!(admission(0, 1, true), Admission::Accept);
+        assert_eq!(admission(1, 3, true), Admission::Accept);
+        assert_eq!(admission(2, 3, true), Admission::Degrade);
     }
 
     fn spec() -> JobSpec {

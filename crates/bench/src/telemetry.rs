@@ -8,7 +8,8 @@
 //! [`run_sweep_ft`](crate::runner::run_sweep_ft) and emits one
 //! [`Event`] per state transition of every cell: dispatch (queue wait is
 //! the gap from sweep begin to first attempt), attempt start/end, retry
-//! backoff, quarantine, checkpoint-journal append, and sweep begin/end.
+//! backoff, quarantine, durable record (checkpoint append or store
+//! insert), and sweep begin/end.
 //!
 //! Three consumers share the one event stream, each optional:
 //!
@@ -33,7 +34,7 @@
 //! touches result data: CSVs and fingerprints are byte-identical with
 //! telemetry on or off (`tests/telemetry.rs` pins this).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -61,17 +62,19 @@ pub enum Event {
         /// Worker threads about to run.
         threads: usize,
         /// Cells not simulated: recovered from the checkpoint journal or
-        /// prefilled, one `CellResumed` each.
+        /// prefilled (in cesimd, served from the result store), one
+        /// `CellResumed` each.
         resumed: usize,
         /// Per-benchmark instruction cap.
         max_insts: u64,
     },
-    /// A cell was recovered from the checkpoint journal, or prefilled,
-    /// instead of run; `wall_us` is its recorded simulation wall time.
+    /// A cell was recovered from the checkpoint journal, or prefilled
+    /// (in cesimd: served from the result store), instead of run;
+    /// `wall_us` is its recorded simulation wall time.
     CellResumed {
         /// Input-order cell index.
         cell: usize,
-        /// Journaled wall time of the original run, µs.
+        /// Recorded wall time of the original run, µs.
         wall_us: u64,
     },
     /// A worker started one attempt of a cell. The gap between
@@ -126,11 +129,12 @@ pub enum Event {
         /// The cell whose failure poisoned this job.
         first: usize,
     },
-    /// One checkpoint-journal append (the fsync-ish flush included).
+    /// A durable record of this freshly simulated cell exists: a CLI
+    /// sweep's checkpoint append, or cesimd's store insert, succeeded.
     CheckpointWrite {
-        /// Input-order cell index journaled.
+        /// Input-order cell index recorded.
         cell: usize,
-        /// Wall time of the append + flush, µs.
+        /// Wall time of the append or insert, µs.
         write_us: u64,
     },
     /// The sweep finished (success or not); the sink flushes, clears the
@@ -616,7 +620,8 @@ pub struct HealthReport {
     pub completed: usize,
     /// Cells that settled in failure (quarantines included).
     pub failed: usize,
-    /// Cells recovered from the checkpoint journal.
+    /// Cells not simulated: recovered from the checkpoint journal or
+    /// prefilled (in cesimd, served from the result store).
     pub resumed: usize,
     /// Retry sleeps taken (one per `backoff` event).
     pub retries: usize,
@@ -630,9 +635,10 @@ pub struct HealthReport {
     pub cell_walls_us: Vec<(usize, u64)>,
     /// Attempt wall time by worker (busy time, µs).
     pub worker_busy_us: BTreeMap<usize, u64>,
-    /// Checkpoint-journal appends observed.
-    pub ckpt_writes: usize,
-    /// Total checkpoint append wall, µs.
+    /// Cells with a `checkpoint-write` event: this execution made each
+    /// durable, so no later execution may simulate it again.
+    pub checkpointed: BTreeSet<usize>,
+    /// Total checkpoint write wall, µs.
     pub ckpt_write_us: u64,
     /// Sweep wall from `sweep-end` (else the last event timestamp), µs.
     pub sweep_wall_us: u64,
@@ -710,7 +716,7 @@ impl HealthReport {
                 self.failed += 1;
             }
             "checkpoint-write" => {
-                self.ckpt_writes += 1;
+                self.checkpointed.insert(num("cell").unwrap_or(0) as usize);
                 self.ckpt_write_us += num("write_us").unwrap_or(0);
             }
             "sweep-end" => {
@@ -799,13 +805,13 @@ impl HealthReport {
             self.utilization() * 100.0,
             self.cells_per_sec(),
         );
-        if self.ckpt_writes > 0 {
+        if !self.checkpointed.is_empty() {
             let _ = writeln!(
                 out,
-                "checkpoint: {} appends, {:.1} ms total ({:.0} µs mean)",
-                self.ckpt_writes,
+                "checkpoint: {} cells written, {:.1} ms total ({:.0} µs mean)",
+                self.checkpointed.len(),
                 self.ckpt_write_us as f64 / 1e3,
-                self.ckpt_write_us as f64 / self.ckpt_writes as f64,
+                self.ckpt_write_us as f64 / self.checkpointed.len() as f64,
             );
         }
         if self.cache_hits + self.cache_misses > 0 {
@@ -917,7 +923,7 @@ mod tests {
         assert_eq!(report.retries, 1);
         assert_eq!(report.quarantined, 1);
         assert_eq!(report.errors_by_category.get("timeout"), Some(&1));
-        assert_eq!(report.ckpt_writes, 1);
+        assert_eq!(report.checkpointed, BTreeSet::from([1]));
         assert_eq!(report.ckpt_write_us, 4);
         assert_eq!(report.sweep_wall_us, 1000);
         assert!(report.ended);

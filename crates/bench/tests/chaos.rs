@@ -4,6 +4,8 @@
 //! - an injected crash fault (`CE_IOFAULT=crash@K`) kills the daemon
 //!   mid-job; a restart recovers the job with **zero duplicate
 //!   simulation** and a resubmission is fully cache-served,
+//! - an injected store-insert failure leaves its cell unproven: the
+//!   journal's `checkpoint-write` cells are exactly the stored ones,
 //! - the seeded protocol fuzz corpus is rejected line by line with
 //!   structured errors while the connection (and daemon) stay alive,
 //! - orphaned `*.tmp` files are swept at daemon startup,
@@ -25,38 +27,8 @@ use std::time::{Duration, Instant};
 
 use ce_bench::chaos::fuzz_corpus;
 use ce_bench::json::Json;
-use ce_bench::service::MAX_REQUEST_LINE;
+use ce_bench::service::{wait_idle, MAX_REQUEST_LINE};
 use common::{ctl, daemon, exec_profile, shutdown, temp_dir, wait_ready};
-
-/// One-line request on a fresh connection; the first response line.
-fn request_line(socket: &Path, line: &str) -> Option<String> {
-    let mut stream = UnixStream::connect(socket).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-    stream.write_all(line.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).ok()?;
-    (!response.is_empty()).then(|| response.trim().to_owned())
-}
-
-/// Polls `status` until the daemon reports no queued and no running
-/// jobs (WAL-recovered work included).
-fn wait_drained(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        if let Some(line) = request_line(socket, "{\"op\": \"status\"}") {
-            let doc = Json::parse(&line).expect("status is JSON");
-            let queued = doc.at("queued").and_then(Json::as_u64).unwrap_or(0);
-            let running = doc.at("running").and_then(Json::as_u64).unwrap_or(0);
-            if queued == 0 && running == 0 {
-                return;
-            }
-        }
-        assert!(Instant::now() < deadline, "recovered jobs never drained");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
 
 fn fsck(state: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_cesimd"))
@@ -67,10 +39,12 @@ fn fsck(state: &Path) -> std::process::Output {
         .expect("cesimd --fsck runs")
 }
 
-/// Crash fault class, end to end: `CE_IOFAULT=crash@25` aborts the
-/// daemon mid-job (after the WAL owns it), the state dir audits clean,
-/// a restart finishes the job without re-simulating any durable cell,
-/// and a resubmission is 100% cache-served.
+/// Crash fault class, end to end: `CE_IOFAULT=crash@42` aborts the
+/// daemon mid-job, at the fsync of the third cell's store entry (one
+/// worker thread): the WAL owns the job, two cells are settled, and the
+/// third leaves an orphaned tempfile. The state dir audits clean, a
+/// restart finishes the job without re-simulating any durable cell, and
+/// a resubmission is 100% cache-served.
 #[test]
 fn injected_crash_recovers_with_zero_duplicate_simulation() {
     let dir = temp_dir("crash");
@@ -78,7 +52,7 @@ fn injected_crash_recovers_with_zero_duplicate_simulation() {
     let socket = dir.join("d.sock");
 
     let mut d = daemon(&state, &socket)
-        .env("CE_IOFAULT", "crash@25")
+        .env("CE_IOFAULT", "crash@42")
         .spawn()
         .expect("cesimd spawns");
     wait_ready(&socket, &mut d);
@@ -102,11 +76,12 @@ fn injected_crash_recovers_with_zero_duplicate_simulation() {
     // Restart (fault disarmed): the WAL replays the job to completion.
     let mut d = daemon(&state, &socket).spawn().expect("cesimd restarts");
     wait_ready(&socket, &mut d);
-    wait_drained(&socket);
+    wait_idle(&socket, Duration::from_secs(300)).expect("recovered jobs drain");
 
     // Zero duplicate simulation across the two executions of job 1.
     let (first, _) = exec_profile(&state.join("telemetry/job-1.exec-0.jsonl"));
     let (second, _) = exec_profile(&state.join("telemetry/job-1.exec-1.jsonl"));
+    assert!(!first.is_empty(), "the crash landed before any cell settled");
     assert!(
         first.is_disjoint(&second),
         "cells simulated twice across the crash: {:?}",
@@ -120,6 +95,38 @@ fn injected_crash_recovers_with_zero_duplicate_simulation() {
     let (written, hits) = exec_profile(&state.join("telemetry/job-2.exec-0.jsonl"));
     assert!(written.is_empty(), "resubmission re-simulated {written:?}");
     assert_eq!(hits, 14);
+
+    shutdown(&socket, &mut d);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// In cesimd a `checkpoint-write` event means a store insert succeeded:
+/// with the third cell's insert failed (`CE_IOFAULT=eio@40`, the create
+/// of its tempfile; one worker thread), the job's journal proves exactly
+/// the 13 cells the store holds, so a replay could never count the
+/// unstored cell as simulated twice.
+#[test]
+fn a_failed_store_insert_is_no_checkpoint_write() {
+    let dir = temp_dir("insert-fault");
+    let state = dir.join("state");
+    let socket = dir.join("d.sock");
+
+    let mut d = daemon(&state, &socket)
+        .env("CE_IOFAULT", "eio@40")
+        .spawn()
+        .expect("cesimd spawns");
+    wait_ready(&socket, &mut d);
+    let out = ctl(&socket).args(["submit", "fig13", "--quiet"]).output().expect("submit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error[io]: storing cell"), "{stderr}");
+
+    let (written, _) = exec_profile(&state.join("telemetry/job-1.exec-0.jsonl"));
+    let stored = std::fs::read_dir(state.join("store"))
+        .expect("store")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .count();
+    assert_eq!((written.len(), stored), (13, 13), "cells proven vs. cells stored");
 
     shutdown(&socket, &mut d);
     std::fs::remove_dir_all(&dir).ok();

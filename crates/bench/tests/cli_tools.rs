@@ -151,9 +151,10 @@ fn make_report_refuses_usage_errors_and_reports_io_failures() {
 fn sweep_binaries_refuse_flags_they_do_not_own() {
     let fig13 = env!("CARGO_BIN_EXE_fig13_ipc");
     let explore = env!("CARGO_BIN_EXE_ce-explore");
-    let usage_errors: [(&str, &[&str]); 5] = [
+    let usage_errors: [(&str, &[&str]); 6] = [
         (fig13, &["--full"]),
         (fig13, &["--grid", "tiny"]),
+        (fig13, &["--manifest", "elsewhere/m.json"]),
         (explore, &["--grid", "huge"]),
         (explore, &["--grid"]),
         (explore, &["--bogus"]),
@@ -163,4 +164,21 @@ fn sweep_binaries_refuse_flags_they_do_not_own() {
         assert_eq!(code, Some(2), "{bin} {args:?}:\n{text}");
         assert!(text.contains("usage: [--out PATH] [--resume] "), "{bin} {args:?}:\n{text}");
     }
+}
+
+/// `cesimd` derives its degrade mark from `--max-pending`, so the flag
+/// that used to set it is a usage error. (`--fsck` on an absent state
+/// directory would exit 0 at once if the flag were still taken.)
+#[test]
+fn cesimd_refuses_the_degrade_pending_flag() {
+    let state = temp_dir("cesimd-flags").join("absent");
+    let out = Command::new(env!("CARGO_BIN_EXE_cesimd"))
+        .args(["--degrade-pending", "4", "--fsck", "--state"])
+        .arg(&state)
+        .output()
+        .expect("cesimd runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: cesimd"), "{stderr}");
+    std::fs::remove_dir_all(state.parent().expect("temp dir")).ok();
 }

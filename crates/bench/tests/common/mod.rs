@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ce_bench::json::Json;
+use ce_bench::telemetry::HealthReport;
 
 /// Small instruction cap so cells finish in milliseconds but a
 /// multi-cell sweep still takes long enough to kill mid-flight.
@@ -80,22 +80,13 @@ pub fn shutdown(socket: &Path, child: &mut Child) {
 }
 
 /// The set of cells a telemetry journal proves were *settled by
-/// simulation* in that execution (checkpoint-write events), plus its
-/// cache-hit count. Torn tails are tolerated like every journal reader.
-pub fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
+/// simulation* in that execution (`HealthReport::checkpointed`), plus
+/// its cache-hit count. Read like every journal: a torn final line is
+/// dropped, damage anywhere else fails the test.
+pub fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<usize>, usize) {
     let text = std::fs::read_to_string(journal)
         .unwrap_or_else(|e| panic!("reading {}: {e}", journal.display()));
-    let mut written = std::collections::BTreeSet::new();
-    let mut hits = 0usize;
-    for line in text.lines().skip(1) {
-        let Ok(doc) = Json::parse(line) else { continue };
-        match doc.at("ev").and_then(Json::as_str) {
-            Some("checkpoint-write") => {
-                written.insert(doc.at("cell").and_then(Json::as_u64).expect("cell"));
-            }
-            Some("cache-hit") => hits += 1,
-            _ => {}
-        }
-    }
-    (written, hits)
+    let health = HealthReport::from_journal(&text)
+        .unwrap_or_else(|e| panic!("{}: {e}", journal.display()));
+    (health.checkpointed, health.cache_hits)
 }

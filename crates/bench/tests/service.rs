@@ -67,6 +67,13 @@ fn service_csv_matches_cli_and_resubmit_is_cache_served() {
     let (written, hits) = exec_profile(&state.join("telemetry/job-1.exec-0.jsonl"));
     assert_eq!(written.len(), 14, "every cell simulates on a cold store");
     assert_eq!(hits, 0);
+    // The store is the daemon's only cell record: no other state kind.
+    let mut layout: Vec<String> = std::fs::read_dir(&state)
+        .expect("state dir")
+        .map(|e| e.expect("state dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    layout.sort();
+    assert_eq!(layout, ["artifacts", "jobs.jsonl", "store", "telemetry"]);
 
     // Identical resubmission: 100% cache-served, still byte-identical.
     let art2 = dir.join("art2");
@@ -115,8 +122,8 @@ fn service_csv_matches_cli_and_resubmit_is_cache_served() {
 }
 
 /// The crash half of the recovery tests: a daemon run as code version
-/// `before` is SIGKILLed once a fig17 job's checkpoint journal holds a
-/// settled cell, and a daemon run as `after` restarts on the same state
+/// `before` is SIGKILLed once a fig17 job has settled cells in the result
+/// store, and a daemon run as `after` restarts on the same state
 /// directory and finishes the job headless, with a CSV byte-identical to
 /// the standalone binary's. Returns the state directory and the restarted
 /// daemon, still serving on `dir/d.sock`.
@@ -151,21 +158,25 @@ fn crash_fig17_job_and_restart(dir: &Path, before: &str, after: &str) -> (PathBu
         .spawn()
         .expect("cesimctl spawns");
 
-    // Kill as soon as the checkpoint journal holds at least one settled
-    // cell but well before all 35 are done (one worker thread).
-    let ckpt = state.join("ckpt/job-1.ckpt.jsonl");
+    // Kill as soon as the store holds two settled cells but well before
+    // all 35 are done. With one worker thread the second entry lands
+    // after the first cell's `checkpoint-write` event, so the first
+    // execution's journal proves at least one cell.
+    let store = state.join("store");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let cells_done = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
+        let cells_done = std::fs::read_dir(&store)
+            .map(|dir| {
+                dir.flatten().filter(|e| e.path().extension().is_some_and(|x| x == "json")).count()
+            })
             .unwrap_or(0);
-        if cells_done >= 1 {
+        if cells_done >= 2 {
             break;
         }
         if let Some(status) = d.try_wait().expect("try_wait") {
             panic!("cesimd exited before it could be killed: {status}");
         }
-        assert!(Instant::now() < deadline, "no checkpoint record after 120s");
+        assert!(Instant::now() < deadline, "no store entry after 120s");
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
@@ -222,9 +233,9 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
         35,
         "executions must jointly cover all 35 cells (first {first:?}, second {second:?})"
     );
-    // Every cell the first execution settled also landed in the result
-    // store (atomic insert precedes the journal record), so the replay
-    // sees them as cache hits on top of the journal recovery.
+    // Every cell the first execution settled is in the result store (its
+    // `checkpoint-write` event follows the insert), so the replay serves
+    // them as cache hits.
     assert!(
         hits >= first.len(),
         "replay saw {hits} store hits but execution 0 settled {} cells",
@@ -236,9 +247,9 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
 }
 
 /// A daemon restarted on a rebuilt binary serves nothing the old build
-/// computed: the job's checkpoint journal belongs to another code
-/// version, so the replayed execution resumes no cell, the store serves
-/// none, and every one of the 35 cells is simulated again.
+/// computed: the store's entries belong to another code version, so the
+/// replayed execution resumes no cell, the store serves none, and every
+/// one of the 35 cells is simulated again.
 #[test]
 fn a_restart_on_another_build_resumes_nothing() {
     let dir = temp_dir("rebuild");
